@@ -99,12 +99,6 @@ def init_agent(i: int, n: int, t: int, value: int, rng: random.Random,
     return state
 
 
-def _xbits_vector(state: AgentState, r: int, link) -> tuple:
-    """This round's evidence bits for one own link, recipients ascending."""
-    per_recipient = state.own_xbits[r][link]
-    return tuple(per_recipient[k] for k in sorted(per_recipient))
-
-
 def build_message(state: AgentState, r: int, recipient: int) -> dict:
     i, t = state.id, state.t
     msg = {"sender": i, "round": r}
@@ -245,15 +239,8 @@ def compute_phase(state: AgentState, r: int):
         return
     t = state.t
     if r <= t + 3:
-        ctx_base = {
-            "n": state.n, "t": t, "self_id": state.id, "round": r,
-            "ns": state.ns, "hs": state.hs, "randoms": state.randoms,
-            "xrandoms": state.xrandoms, "conn_history": state.conn_history,
-        }
-        own_bits = {link: _xbits_vector(state, r, link)
-                    for link in state.own_xbits[r]}
         try:
-            verify_and_update(ctx_base, state.pending_ns, own_bits)
+            verify_and_update(state, state.pending_ns, r)
         except InconsistencyError as exc:
             state.decision = BOT
             state.last_error = exc

@@ -9,9 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from dataclasses import replace
 
 from .deviations import DEVIATION_TYPES, make_deviation
-from .simulator import FailurePattern, RunConfig, deviation_experiment, run
+from .simulator import (FailurePattern, RunConfig, _basic_invariants,
+                        deviation_experiment, run)
 
 
 def load_pattern(path: str) -> FailurePattern:
@@ -83,15 +86,23 @@ def cmd_batch(args, out=None) -> int:
     out = out or sys.stdout
     base = _build_config(args)
     failures = 0
+    outcomes, m_stars = Counter(), Counter()
     for k in range(args.runs):
-        cfg = RunConfig(n=base.n, t=base.t, seed=base.seed + k,
-                        value_domain=base.value_domain,
-                        sample_pattern=True, utilities=base.utilities)
+        # a --pattern file, when given, takes precedence over sampling
+        cfg = replace(base, seed=base.seed + k, sample_pattern=True)
         res = run(cfg)
         ok = res.invariants_ok
         failures += not ok
-        print(f"seed={cfg.seed} outcome={res.outcome} "
-              f"invariants={'ok' if ok else 'FAIL'}", file=out)
+        outcomes[res.outcome[0]] += 1
+        m_stars[res.m_star] += 1
+        print(f"seed={cfg.seed} outcome={res.outcome} m*={res.m_star} "
+              f"D={res.d_set} invariants={'ok' if ok else 'FAIL'}", file=out)
+    print("outcomes: " + " ".join(
+        f"{o}={c}" for o, c in sorted(outcomes.items())), file=out)
+    # m* may also be None or a list, so sort by its text
+    print("decision rounds (m*): " + " ".join(
+        f"{m}={c}" for m, c in sorted(m_stars.items(), key=lambda kv: str(kv[0]))),
+        file=out)
     print(f"{args.runs - failures}/{args.runs} runs clean", file=out)
     return 0 if failures == 0 else 1
 
@@ -107,31 +118,41 @@ def _parse_params(pairs):
     return params
 
 
+def _summary_line(s) -> str:
+    line = (f"{s.deviation}: honest {s.mean_honest:.4f} "
+            f"deviant {s.mean_deviant:.4f} diff {s.mean_diff:+.4f} "
+            f"(se {s.se_diff:.4f}) detection {s.detection_rate:.3f} "
+            f"applied {s.applied_rate:.3f}")
+    if s.guess_trials:
+        line += (f" guesses: {s.guess_hits}/{s.guess_trials} hit "
+                 f"({s.guess_rate:.4f})")
+    return line
+
+
 def cmd_deviate(args, out=None) -> int:
     out = out or sys.stdout
-    if args.type not in DEVIATION_TYPES:
+    if args.type != "all" and args.type not in DEVIATION_TYPES:
         print(f"unknown deviation type {args.type}", file=sys.stderr)
         return 2
+    types = sorted(DEVIATION_TYPES) if args.type == "all" else [args.type]
     base = _build_config(args)
     params = _parse_params(args.param)
-    summary = deviation_experiment(
-        base,
-        lambda: make_deviation(args.type, agent=args.agent,
-                               seed=args.seed, **params),
-        args.runs)
-    print(f"deviation: {summary.deviation}  runs: {summary.runs}", file=out)
-    print(f"mean utility honest:  {summary.mean_honest:.4f}", file=out)
-    print(f"mean utility deviant: {summary.mean_deviant:.4f}", file=out)
-    print(f"paired diff: {summary.mean_diff:+.4f} "
-          f"(se {summary.se_diff:.4f})", file=out)
-    print(f"detection rate: {summary.detection_rate:.3f}  "
-          f"applied rate: {summary.applied_rate:.3f}", file=out)
-    if summary.guess_trials:
-        print(f"guesses: {summary.guess_hits}/{summary.guess_trials} "
-              f"hit ({summary.guess_rate:.4f})", file=out)
-    verdict = "no profitable gain" if summary.gain_within_noise else "GAIN DETECTED"
-    print(f"verdict: {verdict}", file=out)
-    return 0 if summary.gain_within_noise else 1
+    print(f"n={base.n} t={base.t} runs={args.runs} deviant={args.agent}",
+          file=out)
+    summaries = []
+    for tid in types:
+        summary = deviation_experiment(
+            base,
+            lambda: make_deviation(tid, agent=args.agent, seed=args.seed,
+                                   **params),
+            args.runs)
+        summaries.append(summary)
+        print(_summary_line(summary), file=out)
+    worst = max(summaries, key=lambda s: s.mean_diff - 2 * s.se_diff)
+    verdict = ("no profitable gain" if worst.gain_within_noise
+               else "GAIN DETECTED")
+    print(f"verdict: {verdict} (worst: {worst.deviation})", file=out)
+    return 0 if worst.gain_within_noise else 1
 
 
 def cmd_verify_trace(args, out=None) -> int:
@@ -154,22 +175,20 @@ def cmd_verify_trace(args, out=None) -> int:
     n = meta["payload"]["n"]
     values = meta["payload"]["values"]
     result = next((r for r in records if r.get("event") == "result"), None)
-    decisions = dict(result["payload"]["decisions"]) if result else {}
-    labels = [decisions.get(str(i), decisions.get(i, "undecided"))
-              for i in range(1, n + 1)]
-    decided = {d for d in labels if d not in ("bot", "no_decision", "undecided")}
-    problems = []
-    if any(d == "undecided" for d in labels):
-        problems.append("termination: some agent never decided")
-    if len(decided) > 1:
-        problems.append(f"agreement: distinct values {sorted(decided)}")
-    if not decided <= set(values):
-        problems.append(f"validity: {sorted(decided)} not among initial values")
+    recorded = result["payload"]["decisions"] if result else {}
+    decisions = {i: recorded.get(str(i), "undecided") for i in range(1, n + 1)}
+    problems = [f"{name}: FAIL ({detail})"
+                for name, (ok, detail) in
+                _basic_invariants(decisions, values).items() if not ok]
     for p in problems:
         print(p, file=out)
     if not problems:
         print("trace clean", file=out)
     return 0 if not problems else 1
+
+
+def _type_arg(raw: str):
+    return raw if raw == "all" else int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dev = sub.add_parser("deviate", help="paired deviation experiment")
     add_common(p_dev)
-    p_dev.add_argument("--type", type=int, required=True)
+    p_dev.add_argument("--type", type=_type_arg, required=True,
+                       help="deviation type id, or 'all'")
     p_dev.add_argument("--agent", type=int, default=1)
     p_dev.add_argument("--runs", type=int, default=200)
     p_dev.add_argument("--param", action="append",

@@ -41,6 +41,15 @@ class Deviation:
         self.n = self.t = self.domain_size = None
 
     def bind(self, n: int, t: int, domain_size: int):
+        """Fix the run's parameters; reject parameters the run cannot use."""
+        rnd = self.params.get("round", 1)
+        if type(rnd) is not int:
+            raise ValueError(f"deviation round must be an integer, got {rnd!r}")
+        targets = self.params.get("targets", [])
+        if not isinstance(targets, (list, tuple)) or any(
+                type(j) is not int or not 1 <= j <= n for j in targets):
+            raise ValueError(f"deviation targets must be agents in 1..{n}, "
+                             f"got {targets!r}")
         self.n, self.t, self.domain_size = n, t, domain_size
 
     def describe(self) -> str:

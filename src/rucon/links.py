@@ -44,14 +44,6 @@ def link_of(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def state_round(t_a) -> int:
-    return t_a[1]
-
-
-def state_reporter(t_a) -> int:
-    return t_a[2]
-
-
 def append_hs(hs: dict, link: tuple[int, int], t_a) -> dict:
     """Record one endpoint report under (link, report round).
 
@@ -126,19 +118,3 @@ def last_update(hs: dict, ns: dict, total_rounds: int) -> dict:
                 hs[key] = existing + (synthetic,)
     return hs
 
-
-def serialize_state(t_a) -> dict:
-    """Tagged-record form of a report for traces."""
-    if t_a is None:
-        return {"type": "O"}
-    if t_a[0] == R:
-        return {"type": "R", "round": t_a[1], "reporter": t_a[2], "rand": t_a[3]}
-    return {"type": "X", "round": t_a[1], "reporter": t_a[2], "xrands": list(t_a[3])}
-
-
-def deserialize_state(rec: dict):
-    if rec["type"] == "O":
-        return None
-    if rec["type"] == "R":
-        return (R, rec["round"], rec["reporter"], rec["rand"])
-    return (X, rec["round"], rec["reporter"], tuple(rec["xrands"]))

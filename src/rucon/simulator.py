@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .agent import (BOT, NO_DECISION, UNDECIDED, compute_phase, init_agent,
                     receive_phase, send_phase)
+from .deviations import Deviation
 from .invariants import InvariantMonitor
 from .sharing import DEFAULT_PRIME
 
@@ -114,6 +115,9 @@ class RunConfig:
             bad = [v for v in self.values if v not in self.value_domain]
             if bad:
                 raise ValueError(f"values outside the domain: {bad}")
+        if self.deviation is not None and not 1 <= self.deviation.agent <= self.n:
+            raise ValueError(f"deviating agent {self.deviation.agent} "
+                             f"outside 1..{self.n}")
 
 
 @dataclass
@@ -121,7 +125,7 @@ class RunResult:
     config: RunConfig
     pattern: FailurePattern
     values: list                       # decoded, index 0 is agent 1
-    decisions: dict                    # agent -> 'bot' | 'no_decision' | value
+    decisions: dict                    # agent -> 'bot'|'no_decision'|'undecided'|value
     utilities: dict
     outcome: tuple                     # ('consensus', v) | ('bot',) | ('no_value',)
     invariants: dict                   # name -> (ok, detail)
@@ -141,160 +145,174 @@ def sample_values(seed: int, n: int, domain) -> list:
     return [rng.choice(list(domain)) for _ in range(n)]
 
 
-def _emit(sink, run_id, round_, phase, agent, event, payload):
-    if sink is not None:
-        sink.append({"run_id": run_id, "round": round_, "phase": phase,
-                     "agent": agent, "event": event, "payload": payload})
-
-
 def _decode(domain, v):
     # a deviant's shares can reconstruct to any field element, so the
     # elected value may fall outside the encoded domain
     return domain[v] if 0 <= v < len(domain) else f"#{v}"
 
 
-def _decision_label(decision):
+def _decision_label(decision, domain):
     if decision is UNDECIDED:
         return "undecided"
     if decision == BOT:
         return "bot"
     if decision == NO_DECISION:
         return "no_decision"
-    return decision[1]
+    return _decode(domain, decision[1])
 
 
-def run(config: RunConfig) -> RunResult:
-    config.validate()
-    n, t, seed = config.n, config.t, config.seed
-    pattern = config.pattern
-    if pattern is None:
-        pattern = (sample_blind_pattern(seed, n, t) if config.sample_pattern
-                   else FailurePattern())
-    pattern.validate(n, t)
-    values = config.values or sample_values(seed, n, config.value_domain)
-    domain = list(config.value_domain)
-    encoded = [domain.index(v) for v in values]
+class Execution:
+    """One run, stepped a phase at a time.
 
-    agents = {}
-    for i in range(1, n + 1):
-        rng = random.Random(f"{seed}:agent:{i}")
-        agents[i] = init_agent(i, n, t, encoded[i - 1], rng, config.field_p)
+    Every agent follows a strategy: the deviant follows the configured
+    deviation, every other agent the honest base Deviation, whose hooks
+    change nothing. run() steps all rounds; a caller that needs the agents
+    between a round's receive and compute phases calls exchange(r) and
+    compute(r) itself.
+    """
 
-    dev = config.deviation
-    if dev is not None:
-        dev.bind(n=n, t=t, domain_size=len(domain))
-        dev.after_init(agents[dev.agent])
+    def __init__(self, config: RunConfig):
+        config.validate()
+        self.config = config
+        n, t, seed = config.n, config.t, config.seed
+        pattern = config.pattern
+        if pattern is None:
+            pattern = (sample_blind_pattern(seed, n, t) if config.sample_pattern
+                       else FailurePattern())
+        pattern.validate(n, t)
+        self.pattern = pattern
+        self.values = config.values or sample_values(seed, n, config.value_domain)
+        self.domain = list(config.value_domain)
+        self.encoded = [self.domain.index(v) for v in self.values]
+        self.rounds = range(1, t + 5)
 
-    sink = config.trace
-    run_id = f"{n}-{t}-{seed}"
-    _emit(sink, run_id, 0, "meta", 0, "config",
-          {"n": n, "t": t, "seed": seed, "values": values,
-           "domain": domain, "deviation": dev.describe() if dev else None})
+        self.agents = {}
+        for i in range(1, n + 1):
+            rng = random.Random(f"{seed}:agent:{i}")
+            self.agents[i] = init_agent(i, n, t, self.encoded[i - 1], rng,
+                                        config.field_p)
 
-    monitor = (InvariantMonitor(n, t, pattern)
-               if config.check_invariants else None)
-    total = t + 4
-    for r in range(1, total + 1):
+        honest = Deviation()
+        self.dev = config.deviation or honest
+        self.dev.bind(n=n, t=t, domain_size=len(self.domain))
+        self.dev.after_init(self.agents[self.dev.agent])
+        self.strategies = dict.fromkeys(self.agents, honest)
+        self.strategies[self.dev.agent] = self.dev
+
+        self.sink = config.trace
+        self.run_id = f"{n}-{t}-{seed}"
+        self._emit(0, "meta", 0, "config",
+                   {"n": n, "t": t, "seed": seed, "values": self.values,
+                    "domain": self.domain,
+                    "deviation": (None if config.deviation is None
+                                  else self.dev.describe())})
+        self.monitor = (InvariantMonitor(n, t, pattern)
+                        if config.check_invariants else None)
+
+    def _emit(self, round_, phase, agent, event, payload):
+        if self.sink is not None:
+            self.sink.append({"run_id": self.run_id, "round": round_,
+                              "phase": phase, "agent": agent, "event": event,
+                              "payload": payload})
+
+    def exchange(self, r: int):
+        """Round r's send, delivery and receive phases."""
         outboxes = {}
-        for i in sorted(agents):
-            st = agents[i]
-            msgs = send_phase(st, r)
-            if dev is not None and i == dev.agent:
-                msgs = dev.mutate_outgoing(st, r, msgs)
+        for i, st in sorted(self.agents.items()):
+            msgs = self.strategies[i].mutate_outgoing(st, r, send_phase(st, r))
             outboxes[i] = msgs
-            _emit(sink, run_id, r, "send", i, "sent",
-                  {"to": sorted(msgs)})
-        inboxes = deliver(r, outboxes, pattern, n)
-        for i in sorted(agents):
-            st = agents[i]
-            inbox = inboxes[i]
-            if dev is not None and i == dev.agent:
-                inbox = dev.filter_inbox(st, r, inbox)
+            self._emit(r, "send", i, "sent", {"to": sorted(msgs)})
+        inboxes = deliver(r, outboxes, self.pattern, self.config.n)
+        for i, st in sorted(self.agents.items()):
+            strategy = self.strategies[i]
+            inbox = strategy.filter_inbox(st, r, inboxes[i])
             before = st.decision
             receive_phase(st, r, inbox)
-            if dev is not None and i == dev.agent:
-                dev.after_receive(st, r)
-            _emit(sink, run_id, r, "receive", i, "received",
-                  {"from": sorted(inbox), "lost": sorted(st.lost),
-                   "decision": _decision_label(st.decision)})
+            strategy.after_receive(st, r)
+            self._emit(r, "receive", i, "received",
+                       {"from": sorted(inbox), "lost": sorted(st.lost),
+                        "decision": _decision_label(st.decision, self.domain)})
             if st.decision is not before and st.decision == BOT:
-                _emit(sink, run_id, r, "receive", i, "inconsistency",
-                      _error_payload(st))
-        for i in sorted(agents):
-            st = agents[i]
+                self._emit(r, "receive", i, "inconsistency", _error_payload(st))
+
+    def compute(self, r: int):
+        """Round r's compute phase, then the invariant monitor."""
+        for i, st in sorted(self.agents.items()):
             before = st.decision
             compute_phase(st, r)
-            if dev is not None and i == dev.agent:
-                dev.after_compute(st, r)
+            self.strategies[i].after_compute(st, r)
             if st.decision is not before and st.decision == BOT:
-                _emit(sink, run_id, r, "compute", i, "inconsistency",
-                      _error_payload(st))
-            if r == t + 3 and st.m_star is not None:
-                _emit(sink, run_id, r, "compute", i, "election",
-                      {"m_star": st.m_star, "D": list(st.d_set),
-                       "elected": (_decode(domain, st.elected)
-                                   if st.elected is not None else None)})
-        if monitor is not None:
-            monitor.after_round(agents, r)
+                self._emit(r, "compute", i, "inconsistency", _error_payload(st))
+            if r == self.config.t + 3 and st.m_star is not None:
+                self._emit(r, "compute", i, "election",
+                           {"m_star": st.m_star, "D": list(st.d_set),
+                            "elected": (_decode(self.domain, st.elected)
+                                        if st.elected is not None else None)})
+        if self.monitor is not None:
+            self.monitor.after_round(self.agents, r)
 
-    decisions, utilities, errors = {}, {}, {}
-    decided_values = set()
-    any_bot = False
-    for i, st in sorted(agents.items()):
-        d = st.decision
-        if d == BOT:
-            decisions[i] = "bot"
-            any_bot = True
-        elif d == NO_DECISION:
-            decisions[i] = "no_decision"
-        elif d is UNDECIDED:
-            decisions[i] = "undecided"
-            any_bot = True
+    def result(self) -> RunResult:
+        """Decisions, utilities and invariants of the finished run."""
+        config, agents, domain = self.config, self.agents, self.domain
+        decisions, errors = {}, {}
+        decided_values = set()
+        any_bot = False
+        for i, st in sorted(agents.items()):
+            d = st.decision
+            decisions[i] = _decision_label(d, domain)
+            if d is UNDECIDED or d == BOT:
+                any_bot = True
+            elif d != NO_DECISION:
+                decided_values.add(d[1])
+            if st.last_error is not None:
+                errors[i] = str(st.last_error)
+
+        if any_bot or len(decided_values) != 1:
+            outcome = ("bot",) if any_bot else ("no_value",)
+            b2 = config.utilities[2]
+            utilities = {i: b2 for i in agents}
         else:
-            decisions[i] = _decode(domain, d[1])
-            decided_values.add(d[1])
-        if st.last_error is not None:
-            errors[i] = str(st.last_error)
+            v_star = next(iter(decided_values))
+            outcome = ("consensus", _decode(domain, v_star))
+            b0, b1, _ = config.utilities
+            utilities = {i: (b0 if self.encoded[i - 1] == v_star else b1)
+                         for i in agents}
 
-    if any_bot or len(decided_values) != 1:
-        outcome = ("bot",) if any_bot else ("no_value",)
-        b2 = config.utilities[2]
-        utilities = {i: b2 for i in agents}
-    else:
-        v_star = next(iter(decided_values))
-        outcome = ("consensus", _decode(domain, v_star))
-        b0, b1, _ = config.utilities
-        utilities = {i: (b0 if encoded[i - 1] == v_star else b1)
-                     for i in agents}
+        invariants = _basic_invariants(decisions, self.values)
+        if self.monitor is not None:
+            invariants.update(self.monitor.finalize(agents))
 
-    invariants = _basic_invariants(agents, decisions, values, domain)
-    if monitor is not None:
-        invariants.update(monitor.finalize(agents))
-
-    guesses = []
-    applied = False
-    if dev is not None:
-        applied = dev.applied
-        for (peer, round_, guess) in dev.guesses:
+        guesses = []
+        for (peer, round_, guess) in self.dev.guesses:
             actual = agents[peer].own_randoms.get(round_)
             if actual is None:
                 continue  # the peer never drew that round's random
             guesses.append({"peer": peer, "round": round_, "guess": guess,
                             "hit": guess == actual})
 
-    ms = {st.m_star for st in agents.values() if st.m_star is not None}
-    ds = {tuple(st.d_set) for st in agents.values() if st.d_set is not None}
-    result = RunResult(
-        config=config, pattern=pattern, values=values, decisions=decisions,
-        utilities=utilities, outcome=outcome, invariants=invariants,
-        m_star=(next(iter(ms)) if len(ms) == 1 else sorted(ms) or None),
-        d_set=(list(next(iter(ds))) if len(ds) == 1 else None),
-        errors=errors, guesses=guesses, deviation_applied=applied)
-    _emit(sink, run_id, total, "summary", 0, "result",
-          {"decisions": decisions, "outcome": list(outcome),
-           "utilities": utilities,
-           "invariants": {k: ok for k, (ok, _) in invariants.items()}})
-    return result
+        ms = {st.m_star for st in agents.values() if st.m_star is not None}
+        ds = {tuple(st.d_set) for st in agents.values() if st.d_set is not None}
+        result = RunResult(
+            config=config, pattern=self.pattern, values=self.values,
+            decisions=decisions, utilities=utilities, outcome=outcome,
+            invariants=invariants,
+            m_star=(next(iter(ms)) if len(ms) == 1 else sorted(ms) or None),
+            d_set=(list(next(iter(ds))) if len(ds) == 1 else None),
+            errors=errors, guesses=guesses,
+            deviation_applied=self.dev.applied)
+        self._emit(self.rounds[-1], "summary", 0, "result",
+                   {"decisions": decisions, "outcome": list(outcome),
+                    "utilities": utilities,
+                    "invariants": {k: ok for k, (ok, _) in invariants.items()}})
+        return result
+
+
+def run(config: RunConfig) -> RunResult:
+    ex = Execution(config)
+    for r in ex.rounds:
+        ex.exchange(r)
+        ex.compute(r)
+    return ex.result()
 
 
 def _error_payload(st):
@@ -306,8 +324,8 @@ def _error_payload(st):
     return payload
 
 
-def _basic_invariants(agents, decisions, values, domain):
-    """Safety properties checkable from decisions alone."""
+def _basic_invariants(decisions, values):
+    """Safety properties checkable from decision labels alone."""
     decided = {d for d in decisions.values()
                if d not in ("bot", "no_decision", "undecided")}
     agreement = len(decided) <= 1

@@ -416,19 +416,22 @@ def merge_state(ctx: MergeContext, link, recv):
                 append_hs(hs, link, t_a)
 
 
-def verify_and_update(ctx_base: dict, received: dict, own_xbits: dict):
+def _xbits_vector(state, r: int, link) -> tuple:
+    """The agent's round-r evidence bits for one own link, recipients ascending."""
+    per_recipient = state.own_xbits[r][link]
+    return tuple(per_recipient[k] for k in sorted(per_recipient))
+
+
+def verify_and_update(state, received: dict, r: int):
     """One round of the full verify-and-update pass for one agent.
 
-    ctx_base carries n, t, self_id, round, ns, hs, randoms, xrandoms and
-    conn_history; received maps each heard sender to its table; own_xbits
-    maps each of the agent's links to this round's fault-evidence vector.
-    Mutates ns/hs in place; raises InconsistencyError on any violation.
+    state is the checking agent's AgentState; received maps each heard
+    sender to its table; r is the current round. Mutates state.ns and
+    state.hs in place; raises InconsistencyError on any violation.
     """
-    n = ctx_base["n"]
-    i = ctx_base["self_id"]
-    r = ctx_base["round"]
-    ns, hs = ctx_base["ns"], ctx_base["hs"]
-    randoms = ctx_base["randoms"]
+    n, i = state.n, state.id
+    ns, hs = state.ns, state.hs
+    randoms = state.randoms
     senders = sorted(received)
     heard = set(senders)
 
@@ -445,7 +448,7 @@ def verify_and_update(ctx_base: dict, received: dict, own_xbits: dict):
         entry = ns.get(link)
         if entry is not None and entry[0][0] == X:
             continue  # earliest failure round already recorded
-        t_a = (X, r, i, own_xbits[link])
+        t_a = (X, r, i, _xbits_vector(state, r, link))
         ns[link] = (t_a, None)
         append_hs(hs, link, t_a)
 
@@ -454,9 +457,9 @@ def verify_and_update(ctx_base: dict, received: dict, own_xbits: dict):
     contexts = {}
     for j in senders:
         ctx = MergeContext(
-            n=n, t=ctx_base["t"], self_id=i, round=r, ns=ns, hs=hs,
+            n=n, t=state.t, self_id=i, round=r, ns=ns, hs=hs,
             sender=j, recv_ns=received[j], randoms=randoms,
-            xrandoms=ctx_base["xrandoms"], conn_history=ctx_base["conn_history"],
+            xrandoms=state.xrandoms, conn_history=state.conn_history,
         )
         contexts[j] = ctx
         for link, recv in ctx.recv_ns.items():

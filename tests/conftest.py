@@ -1,57 +1,35 @@
-"""Shared helpers: a lockstep driver that can snapshot agents mid-round.
+"""Shared helpers: a run that can snapshot agents mid-round.
 
 The simulator's run() only reports end-of-run results; verification tests
 need an agent's state exactly as it stands between the receive and compute
-phases, with the received tables still pending. run_agents replays the
-same loop and deep-copies every agent at that point.
+phases, with the received tables still pending. run_agents steps the same
+Execution that run() does and deep-copies every agent at that point.
 """
 
 import copy
-import random
 
 import pytest
 
-from rucon.agent import (compute_phase, init_agent, receive_phase,
-                         send_phase, _xbits_vector)
-from rucon.simulator import FailurePattern, deliver
+from rucon.simulator import Execution, RunConfig
 
 
-def run_agents(n, t, seed, pattern=None, capture_round=None, values=None,
-               p=2**31 - 1):
+def run_agents(n, t, seed, pattern=None, capture_round=None):
     """Drive a run to completion; optionally snapshot after one receive phase.
 
     Returns (agents, snapshot): the final agent states and, if capture_round
     was given, a deep copy of every agent taken after that round's receive
     phase (pending tables intact, compute not yet run).
     """
-    pattern = pattern or FailurePattern()
-    values = values or [i % 3 for i in range(n)]
-    agents = {}
-    for i in range(1, n + 1):
-        rng = random.Random(f"{seed}:agent:{i}")
-        agents[i] = init_agent(i, n, t, values[i - 1], rng, p)
+    ex = Execution(RunConfig(n=n, t=t, seed=seed, pattern=pattern,
+                             values=[("a", "b", "c")[i % 3] for i in range(n)],
+                             check_invariants=False))
     snapshot = None
-    for r in range(1, t + 5):
-        outboxes = {i: send_phase(st, r) for i, st in sorted(agents.items())}
-        inboxes = deliver(r, outboxes, pattern, n)
-        for i in sorted(agents):
-            receive_phase(agents[i], r, inboxes[i])
+    for r in ex.rounds:
+        ex.exchange(r)
         if r == capture_round:
-            snapshot = copy.deepcopy(agents)
-        for i in sorted(agents):
-            compute_phase(agents[i], r)
-    return agents, snapshot
-
-
-def verify_inputs(st, r):
-    """The (ctx_base, received, own_xbits) triple for a captured agent."""
-    ctx_base = {
-        "n": st.n, "t": st.t, "self_id": st.id, "round": r,
-        "ns": st.ns, "hs": st.hs, "randoms": st.randoms,
-        "xrandoms": st.xrandoms, "conn_history": st.conn_history,
-    }
-    own_bits = {link: _xbits_vector(st, r, link) for link in st.own_xbits[r]}
-    return ctx_base, st.pending_ns, own_bits
+            snapshot = copy.deepcopy(ex.agents)
+        ex.compute(r)
+    return ex.agents, snapshot
 
 
 @pytest.fixture(scope="session")

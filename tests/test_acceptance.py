@@ -48,12 +48,12 @@ def test_honest_runs_reach_consensus(honest_sweep):
                        if d not in ("no_decision",)}
             if "bot" in res.decisions.values():
                 bad.append((n, t, res.config.seed, "punishment outcome"))
+            elif "undecided" in res.decisions.values():
+                bad.append((n, t, res.config.seed, "agent never terminated"))
             elif len(decided) != 1:
                 bad.append((n, t, res.config.seed, f"no agreement: {decided}"))
             elif not decided <= set(res.values):
                 bad.append((n, t, res.config.seed, f"invalid value: {decided}"))
-            elif any(d is None for d in res.decisions.values()):
-                bad.append((n, t, res.config.seed, "agent never terminated"))
     _report("honest runs: agreement, validity, termination, no punishment "
             f"({len(SCALES)}x{SWEEP_RUNS} sampled patterns)",
             not bad, f"{len(bad)} violations, first: {bad[:1]}")

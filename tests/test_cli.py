@@ -47,6 +47,23 @@ def test_batch(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "5/5 runs clean" in out
+    assert "outcomes: consensus=" in out
+    assert "decision rounds (m*): " in out
+
+
+def test_batch_honours_values_and_pattern(tmp_path, capsys):
+    assert main(["batch", "--n", "5", "--t", "1", "--seed", "0",
+                 "--runs", "2", "--values", "z,z,z,z,z"]) == 2
+    pattern = tmp_path / "pattern.jsonl"
+    pattern.write_text('{"agent": 5, "kind": "crash", "from_round": 1}\n')
+    code = main(["batch", "--n", "5", "--t", "1", "--seed", "0",
+                 "--runs", "3", "--values", "a,a,b,a,a",
+                 "--pattern", str(pattern)])
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("seed=")]
+    assert code == 0 and len(lines) == 3
+    assert all("('consensus', 'a')" in line and "D=[1, 2, 3, 4] " in line
+               for line in lines)
 
 
 def test_deviate_unknown_type():
@@ -60,6 +77,23 @@ def test_deviate_no_gain(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "no profitable gain" in out
+
+
+def test_deviate_all_types(capsys):
+    code = main(["deviate", "--n", "5", "--t", "1", "--seed", "0",
+                 "--type", "all", "--runs", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("type")] == [f"type{k}" for k in range(1, 11)]
+    assert "verdict: no profitable gain (worst: type" in out
+
+
+def test_deviate_bad_arguments_are_usage_errors():
+    base = ["deviate", "--n", "5", "--t", "1", "--seed", "0", "--runs", "2"]
+    assert main(base + ["--type", "10", "--agent", "9"]) == 2
+    assert main(base + ["--type", "5", "--param", "round=abc"]) == 2
+    assert main(base + ["--type", "1", "--param", "targets=[9]"]) == 2
 
 
 def test_deviate_param_forwarding(capsys):

@@ -1,0 +1,74 @@
+"""Golden outputs: traces and results pinned over a small seed corpus.
+
+Each group's digest covers, run by run, the trace bytes exactly as
+write_trace stores them and every RunResult field but the config, which is
+the run's input. The digests were recorded before the round loop moved into
+the Execution stepper, so a refactor that changes what any run computes or
+records fails here.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from rucon.cli import write_trace
+from rucon.deviations import DEVIATION_TYPES, make_deviation
+from rucon.simulator import RunConfig, run
+
+HONEST_SEEDS = range(4)
+DEVIATION_SEEDS = range(2)
+
+GOLDEN = {
+    "honest-5-1":
+        "f917d28406bc6db7b6bfe07f1ae5e5a5751b281e7f38cb237c18b7f6aa2c8d8b",
+    "honest-7-2":
+        "175d4afe16e13c3627adc408fb4fdfeb81041881348e5e581bdeec5e6a7d33e1",
+    "honest-9-3":
+        "f76cc036c65207a06d47bd01dbebcf705efc9813501f601f2fe80dc2a38d063d",
+    "deviations-5-1":
+        "a01c849b5c662f0b2b13b058b2fa49d53ed0098a16152eff575fe2a780b41c6b",
+    "deviations-7-2":
+        "107e49411a80bcdf788f1d55228919400d654402fcba4313fcc23ca41706008d",
+}
+
+
+def _configs(group):
+    kind, n, t = group.split("-")
+    n, t = int(n), int(t)
+    if kind == "honest":
+        return [RunConfig(n=n, t=t, seed=s, sample_pattern=True)
+                for s in HONEST_SEEDS]
+    # invariants off, as in the deviation study
+    return [RunConfig(n=n, t=t, seed=s, sample_pattern=True,
+                      check_invariants=False,
+                      deviation=make_deviation(tid, agent=1, seed=s))
+            for tid in sorted(DEVIATION_TYPES) for s in DEVIATION_SEEDS]
+
+
+def _canon(obj):
+    """A repr-stable form: dicts by sorted key, dataclasses by field."""
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,
+                tuple((f.name, _canon(getattr(obj, f.name)))
+                      for f in dataclasses.fields(obj)))
+    if isinstance(obj, dict):
+        return ("dict", tuple(sorted((k, _canon(v)) for k, v in obj.items())))
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, tuple(_canon(x) for x in obj))
+    return obj
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_golden_corpus(group, tmp_path):
+    digest = hashlib.sha256()
+    for k, config in enumerate(_configs(group)):
+        config.trace = []
+        res = run(config)
+        path = tmp_path / f"{k}.jsonl"
+        write_trace(str(path), config.trace)
+        digest.update(path.read_bytes())
+        fields = tuple((f.name, _canon(getattr(res, f.name)))
+                       for f in dataclasses.fields(res) if f.name != "config")
+        digest.update(repr(fields).encode())
+    assert digest.hexdigest() == GOLDEN[group]

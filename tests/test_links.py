@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from rucon.errors import InconsistencyError
 from rucon.links import (CORRECT, FAULTY, R, UNKNOWN, X, append_hs, classify,
-                         deserialize_state, last_update, link_of,
-                         serialize_state)
+                         last_update, link_of)
 from conftest import run_agents
 from rucon.simulator import FailurePattern
 
@@ -134,14 +133,6 @@ def test_fault_monotone_and_prefix_properties():
     agents, _ = run_agents(5, 1, seed=21, pattern=pattern)
     for st_agent in agents.values():
         _history_properties(st_agent, 1, before_backfill=False)
-
-
-def test_serialize_roundtrip():
-    for t_a in (None, (R, 2, 1, 4), (X, 3, 2, (0, 1, 1, 0))):
-        assert deserialize_state(serialize_state(t_a)) == t_a
-    assert serialize_state(None) == {"type": "O"}
-    assert serialize_state((R, 2, 1, 4)) == {
-        "type": "R", "round": 2, "reporter": 1, "rand": 4}
 
 
 @given(rand_a=st.integers(0, 4), rand_b=st.integers(0, 4),

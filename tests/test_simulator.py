@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from rucon.deviations import make_deviation
 from rucon.simulator import (FailurePattern, RunConfig, deliver, run,
                              sample_blind_pattern, sample_values)
 
@@ -50,6 +51,11 @@ def test_config_validation():
         run(RunConfig(n=5, t=1, seed=0, values=["a", "b"]))
     with pytest.raises(ValueError):
         run(RunConfig(n=5, t=1, seed=0, values=["z"] * 5))
+    for dev in (make_deviation(10, agent=9), make_deviation(10, agent=0),
+                make_deviation(5, round="abc"),
+                make_deviation(1, targets=[2, 6])):
+        with pytest.raises(ValueError):
+            run(RunConfig(n=5, t=1, seed=0, deviation=dev))
 
 
 def test_pattern_validation():

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from conftest import run_agents, verify_inputs
+from conftest import run_agents
 from rule_fixtures import FIXTURES
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
@@ -160,8 +160,7 @@ def test_case10_absent_entry_skipped():
     _, snap = run_agents(3, 0, seed=2, capture_round=2)
     st = snap[1]
     assert (1, 3) not in st.pending_ns[2]
-    ctx_base, received, own_bits = verify_inputs(st, 2)
-    verify_and_update(ctx_base, received, own_bits)
+    verify_and_update(st, st.pending_ns, 2)
     assert st.ns[(1, 3)][0][:3] == (R, 2, 1)
 
 
@@ -169,8 +168,7 @@ def test_case10_absent_entry_skipped():
 
 def test_verify_and_update_direct_detections(captured_round3):
     st = copy.deepcopy(captured_round3[1])
-    ctx_base, received, own_bits = verify_inputs(st, 3)
-    verify_and_update(ctx_base, received, own_bits)
+    verify_and_update(st, st.pending_ns, 3)
     for j in (2, 3, 4, 5):
         entry = st.ns[(min(1, j), max(1, j))]
         assert entry[0][:3] == (R, 3, 1)
@@ -180,9 +178,8 @@ def test_verify_and_update_direct_detections(captured_round3):
 def test_verify_and_update_flags_bad_link_key(captured_round3):
     st = copy.deepcopy(captured_round3[1])
     st.pending_ns[2][(2, 1)] = st.pending_ns[2].pop((1, 2))
-    ctx_base, received, own_bits = verify_inputs(st, 3)
     with pytest.raises(InconsistencyError) as exc:
-        verify_and_update(ctx_base, received, own_bits)
+        verify_and_update(st, st.pending_ns, 3)
     assert exc.value.category == "format"
 
 
@@ -193,9 +190,8 @@ def test_verify_and_update_flags_tampered_relay(captured_round3):
     link = (2, 3)
     t_a, t_b = st.pending_ns[2][link]
     st.pending_ns[2][link] = ((t_a[0], t_a[1], t_a[2], (t_a[3] + 1) % 5), t_b)
-    ctx_base, received, own_bits = verify_inputs(st, 3)
     with pytest.raises(InconsistencyError) as exc:
-        verify_and_update(ctx_base, received, own_bits)
+        verify_and_update(st, st.pending_ns, 3)
     assert exc.value.category in ("random", "source")
 
 
