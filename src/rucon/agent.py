@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InconsistencyError, ProtocolViolationError
-from .links import R, X, last_update, link_of
+from .links import last_update, link_of
 from .sharing import (DEFAULT_PRIME, LinearPolynomial, Share,
                       ShareInconsistencyError, make_polynomial, reconstruct,
                       share_for)
@@ -46,10 +47,8 @@ class AgentState:
     ns: dict = field(default_factory=dict)
     hs: dict = field(default_factory=dict)
     shares: dict = field(default_factory=dict)       # generator -> {point -> (q, b)}
-    randoms: dict = field(default_factory=dict)      # (agent, round) -> int
-    xrandoms: dict = field(default_factory=dict)     # (gen, round, link) -> {recipient -> bit}
-    own_randoms: dict = field(default_factory=dict)  # round -> int
-    own_xbits: dict = field(default_factory=dict)    # round -> {link -> {recipient -> bit}}
+    randoms: dict = field(default_factory=dict)      # (agent, round) -> int, own draws too
+    xrandoms: dict = field(default_factory=dict)     # (gen, round, link) -> {recipient -> bit}, own draws too
     conn_history: dict = field(default_factory=dict)
     pending_ns: dict = field(default_factory=dict)   # sender -> its table, this round
     consensus: set = field(default_factory=set)
@@ -60,27 +59,21 @@ class AgentState:
     elected: object = None
 
 
+@lru_cache(maxsize=None)
+def own_links(i: int, n: int) -> tuple:
+    """Agent i's n-1 links, by ascending peer id."""
+    return tuple(link_of(i, j) for j in range(1, n + 1) if j != i)
+
+
 def _gen_randoms(state: AgentState, r: int):
     """Draw and register the message random and fault-evidence bits for round r."""
     i, n = state.id, state.n
-    rand = state.rng.randrange(n)
-    state.own_randoms[r] = rand
-    register_random(state.randoms, i, r, rand)
-    bits: dict = {}
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        link = link_of(i, j)
-        per_recipient = {}
+    register_random(state.randoms, i, r, state.rng.randrange(n))
+    for link in own_links(i, n):
         slot = state.xrandoms.setdefault((i, r, link), {})
         for k in range(1, n + 1):
-            if k == i:
-                continue
-            bit = state.rng.getrandbits(1)
-            per_recipient[k] = bit
-            slot[k] = bit
-        bits[link] = per_recipient
-    state.own_xbits[r] = bits
+            if k != i:
+                slot[k] = state.rng.getrandbits(1)
 
 
 def init_agent(i: int, n: int, t: int, value: int, rng: random.Random,
@@ -103,11 +96,12 @@ def build_message(state: AgentState, r: int, recipient: int) -> dict:
     i, t = state.id, state.t
     msg = {"sender": i, "round": r}
     if r <= t + 3:
-        msg["rand"] = state.own_randoms[r]
+        msg["rand"] = state.randoms[(i, r)]
     if r <= t + 2:
         msg["ns"] = dict(state.ns)
-        msg["xr"] = {link: bits[recipient]
-                     for link, bits in state.own_xbits[r].items()}
+        xrandoms = state.xrandoms
+        msg["xr"] = {link: xrandoms[(i, r, link)][recipient]
+                     for link in own_links(i, state.n)}
     if r == 1:
         msg["q"] = share_for(state.q_poly, recipient).value
         msg["b"] = share_for(state.b_poly, recipient).value

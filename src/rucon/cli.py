@@ -17,23 +17,35 @@ from .simulator import (FailurePattern, RunConfig, _basic_invariants,
                         deviation_experiment, run)
 
 
+def _int_field(rec, key, lineno) -> int:
+    v = rec.get(key)
+    if type(v) is not int:
+        raise ValueError(f"pattern line {lineno}: {key} must be an integer, "
+                         f"got {v!r}")
+    return v
+
+
 def load_pattern(path: str) -> FailurePattern:
+    """One JSON object per line: agent, kind, from_round, and a peer for
+    send and receive omissions. Raises ValueError on a malformed line."""
     crash, send_om, recv_om = {}, {}, {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            agent = int(rec["agent"])
-            onset = int(rec["from_round"])
-            kind = rec["kind"]
+            if not isinstance(rec, dict):
+                raise ValueError(f"pattern line {lineno} is not an object")
+            agent = _int_field(rec, "agent", lineno)
+            onset = _int_field(rec, "from_round", lineno)
+            kind = rec.get("kind")
             if kind == "crash":
                 crash[agent] = onset
             elif kind == "send":
-                send_om[(agent, int(rec["peer"]))] = onset
+                send_om[(agent, _int_field(rec, "peer", lineno))] = onset
             elif kind == "receive":
-                recv_om[(agent, int(rec["peer"]))] = onset
+                recv_om[(agent, _int_field(rec, "peer", lineno))] = onset
             else:
                 raise ValueError(f"unknown failure kind {kind!r}")
     return FailurePattern(crash=crash, send_om=send_om, recv_om=recv_om)
@@ -158,28 +170,24 @@ def cmd_deviate(args, out=None) -> int:
 def cmd_verify_trace(args, out=None) -> int:
     out = out or sys.stdout
     try:
-        records = []
         with open(args.trace_file) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"unreadable trace: {exc}", file=sys.stderr)
+            records = [json.loads(line) for line in fh if line.strip()]
+        meta = next((r for r in records
+                     if r.get("phase") == "meta" and r.get("event") == "config"),
+                    None)
+        if meta is None:
+            raise ValueError("trace has no config record")
+        n, values = meta["payload"]["n"], meta["payload"]["values"]
+        result = next((r for r in records if r.get("event") == "result"), None)
+        recorded = result["payload"]["decisions"] if result else {}
+        decisions = {i: recorded.get(str(i), "undecided") for i in range(1, n + 1)}
+        report = _basic_invariants(decisions, values)
+    # a record without the shape write_trace gives it fails in one of these
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        print(f"unreadable trace: {exc!r}", file=sys.stderr)
         return 2
-    meta = next((r for r in records
-                 if r.get("phase") == "meta" and r.get("event") == "config"), None)
-    if meta is None:
-        print("trace has no config record", file=sys.stderr)
-        return 2
-    n = meta["payload"]["n"]
-    values = meta["payload"]["values"]
-    result = next((r for r in records if r.get("event") == "result"), None)
-    recorded = result["payload"]["decisions"] if result else {}
-    decisions = {i: recorded.get(str(i), "undecided") for i in range(1, n + 1)}
     problems = [f"{name}: FAIL ({detail})"
-                for name, (ok, detail) in
-                _basic_invariants(decisions, values).items() if not ok]
+                for name, (ok, detail) in report.items() if not ok]
     for p in problems:
         print(p, file=out)
     if not problems:

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import random
 
-from .agent import UNDECIDED, NO_DECISION, build_message
+from .agent import UNDECIDED, NO_DECISION, build_message, own_links
 from .links import R, X, link_of
 from .sharing import make_polynomial, share_for
+from .verification import evidence_vector
 
 
 class Deviation:
@@ -114,12 +115,11 @@ class Derandomized(Deviation):
     type_id = 3
 
     def _zero_round(self, st, r):
-        st.own_randoms[r] = 0
         st.randoms[(st.id, r)] = 0
-        for link, per_recipient in st.own_xbits[r].items():
+        for link in own_links(st.id, st.n):
+            per_recipient = st.xrandoms[(st.id, r, link)]
             for k in per_recipient:
                 per_recipient[k] = 0
-                st.xrandoms[(st.id, r, link)][k] = 0
 
     def after_init(self, st):
         st.proposal = 0
@@ -130,7 +130,7 @@ class Derandomized(Deviation):
         self.applied = True
 
     def after_compute(self, st, r):
-        if st.decision is UNDECIDED and r + 1 in st.own_xbits:
+        if st.decision is UNDECIDED and (st.id, r + 1) in st.randoms:
             self._zero_round(st, r + 1)
 
 
@@ -274,8 +274,7 @@ class LinkStateLie(Deviation):
                 return None
             link, _ = pick
             ro = r - 2 if r >= 3 else r - 1
-            bits = tuple(st.own_xbits[ro][link][w]
-                         for w in sorted(st.own_xbits[ro][link]))
+            bits = evidence_vector(st.xrandoms, i, ro, link)
             return link, ((X, ro, i, bits), None)
         if case == 2:
             pick = self._pick(st, True, X)
@@ -330,32 +329,17 @@ class LinkStateLie(Deviation):
         raise ValueError(f"unknown lie sub-case {case}")
 
 
-class WrongRandomRelay(Deviation):
+class WrongRandomRelay(LinkStateLie):
     """Alter the random inside one relayed correct-report."""
 
     type_id = 7
 
-    def mutate_outgoing(self, st, r, msgs):
-        if r != self.params.get("round", 3) or not msgs:
-            return msgs
-        i, n = st.id, self.n
-        for k in range(1, n):
-            for p in range(k + 1, n + 1):
-                link = (k, p)
-                if i in link:
-                    continue
-                entry = st.ns.get(link)
-                if entry is None or entry[0][0] != R:
-                    continue
-                ta, tb = entry
-                fake = ((R, ta[1], ta[2], (ta[3] + 1) % n), tb)
-                for j in msgs:
-                    ns = dict(msgs[j]["ns"])
-                    ns[link] = fake
-                    msgs[j]["ns"] = ns
-                self.applied = True
-                return msgs
-        return msgs
+    def _build_lie(self, st, r, case):
+        pick = self._pick(st, False, R)
+        if pick is None:
+            return None
+        link, (ta, tb) = pick
+        return link, ((R, ta[1], ta[2], (ta[3] + 1) % self.n), tb)
 
 
 class CorruptShareRelay(Deviation):

@@ -109,6 +109,12 @@ class InvariantMonitor:
 
         faulty = self.faulty_by_round.get(t + 3, ground_faulty(agents, t))
         observers = {a: st for a, st in agents.items() if a not in faulty}
+        if not observers:
+            # every agent judged faulty: there is no view to check against
+            for name in ("clean_round_density", "hs_convergence",
+                         "machinery_agreement"):
+                report[name] = (False, "no non-faulty observer")
+            return report
         ref = observers[min(observers)]
 
         timeline = decision_mod.status_timeline(ref.hs, n, t)

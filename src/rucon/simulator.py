@@ -17,7 +17,6 @@ from .agent import (BOT, NO_DECISION, UNDECIDED, compute_phase, init_agent,
                     receive_phase, send_phase)
 from .deviations import Deviation
 from .invariants import InvariantMonitor
-from .sharing import DEFAULT_PRIME
 
 INF = float("inf")
 
@@ -100,7 +99,6 @@ class RunConfig:
     deviation: object = None
     utilities: tuple = (2.0, 1.0, 0.0)
     check_invariants: bool = True
-    field_p: int = DEFAULT_PRIME
     trace: object = None           # list-like sink for trace records
 
     def validate(self):
@@ -189,8 +187,7 @@ class Execution:
         self.agents = {}
         for i in range(1, n + 1):
             rng = random.Random(f"{seed}:agent:{i}")
-            self.agents[i] = init_agent(i, n, t, self.encoded[i - 1], rng,
-                                        config.field_p)
+            self.agents[i] = init_agent(i, n, t, self.encoded[i - 1], rng)
 
         honest = Deviation()
         self.dev = config.deviation or honest
@@ -284,7 +281,7 @@ class Execution:
 
         guesses = []
         for (peer, round_, guess) in self.dev.guesses:
-            actual = agents[peer].own_randoms.get(round_)
+            actual = agents[peer].randoms.get((peer, round_))
             if actual is None:
                 continue  # the peer never drew that round's random
             guesses.append({"peer": peer, "round": round_, "guess": guess,
@@ -360,9 +357,10 @@ class ExperimentSummary:
 def deviation_experiment(base: RunConfig, make_dev, runs: int) -> ExperimentSummary:
     """Paired comparison of the deviant's utility against its honest self.
 
-    Every trial replays the same seed, failure pattern and values twice,
-    once honest and once with the deviation installed, and records the
-    utility difference for the deviating agent.
+    Every trial runs one seed twice, once honest and once with the
+    deviation installed, and records the utility difference for the
+    deviating agent. Each run takes the base config's pattern and values
+    when given, and otherwise samples them from the seed.
     """
     diffs, honest_u, dev_u = [], [], []
     detected = 0
@@ -371,9 +369,7 @@ def deviation_experiment(base: RunConfig, make_dev, runs: int) -> ExperimentSumm
     label = None
     for k in range(runs):
         seed = base.seed + k
-        pattern = sample_blind_pattern(seed, base.n, base.t)
-        values = sample_values(seed, base.n, base.value_domain)
-        honest_cfg = replace(base, seed=seed, pattern=pattern, values=values,
+        honest_cfg = replace(base, seed=seed, sample_pattern=True,
                              deviation=None, check_invariants=False,
                              trace=None)
         dev = make_dev()

@@ -209,8 +209,17 @@ def verify_msg_chain(ctx: MergeContext):
                         "state reachable before both disconnections is unknown")
 
 
-def _check_format(ctx: MergeContext, link, t_a, t_b):
+def check_format(ctx: MergeContext, link, recv):
+    """Structural validity of one entry (link key and report) of a received
+    table; runs before any other check dereferences the entry."""
     n, r = ctx.n, ctx.round
+    if (type(link) is not tuple or len(link) != 2
+            or type(link[0]) is not int or type(link[1]) is not int
+            or not 1 <= link[0] < link[1] <= n
+            or type(recv) is not tuple or len(recv) != 2):
+        raise InconsistencyError("format", "bad-state", None, None,
+                                 f"malformed link key {link!r}")
+    t_a, t_b = recv
     ok = (
         type(t_a) is tuple and len(t_a) == 4
         and (t_a[0] == R or t_a[0] == X)
@@ -351,11 +360,10 @@ def _check_round_relations(ctx: MergeContext, link, t_a):
                     "endpoint failure rounds differ by more than one")
 
 
-def verify_state(ctx: MergeContext, link, recv, checked_format=False):
-    """All four verification categories for one received report."""
+def verify_state(ctx: MergeContext, link, recv):
+    """The round, source and random checks for one received report, which
+    check_format has already passed."""
     t_a, t_b = recv
-    if not checked_format:
-        _check_format(ctx, link, t_a, t_b)
     if t_a[2] != link[0] and t_a[2] != link[1]:
         raise InconsistencyError(
             "round", "claim8", link, t_a[1],
@@ -416,9 +424,9 @@ def merge_state(ctx: MergeContext, link, recv):
                 append_hs(hs, link, t_a)
 
 
-def _xbits_vector(state, r: int, link) -> tuple:
-    """The agent's round-r evidence bits for one own link, recipients ascending."""
-    per_recipient = state.own_xbits[r][link]
+def evidence_vector(xrandoms: dict, gen: int, round_: int, link) -> tuple:
+    """gen's round_ evidence bits for one of its links, recipients ascending."""
+    per_recipient = xrandoms[(gen, round_, link)]
     return tuple(per_recipient[k] for k in sorted(per_recipient))
 
 
@@ -448,7 +456,7 @@ def verify_and_update(state, received: dict, r: int):
         entry = ns.get(link)
         if entry is not None and entry[0][0] == X:
             continue  # earliest failure round already recorded
-        t_a = (X, r, i, _xbits_vector(state, r, link))
+        t_a = (X, r, i, evidence_vector(state.xrandoms, i, r, link))
         ns[link] = (t_a, None)
         append_hs(hs, link, t_a)
 
@@ -463,13 +471,7 @@ def verify_and_update(state, received: dict, r: int):
         )
         contexts[j] = ctx
         for link, recv in ctx.recv_ns.items():
-            if (type(link) is not tuple or len(link) != 2
-                    or type(link[0]) is not int or type(link[1]) is not int
-                    or not 1 <= link[0] < link[1] <= n
-                    or type(recv) is not tuple or len(recv) != 2):
-                raise InconsistencyError("format", "bad-state", None, None,
-                                         f"malformed link key {link!r}")
-            _check_format(ctx, link, recv[0], recv[1])
+            check_format(ctx, link, recv)
         verify_msg_chain(ctx)
 
     # Phase 3: per-link verify and merge, in fixed order. An entry equal in
@@ -489,6 +491,6 @@ def verify_and_update(state, received: dict, r: int):
                 key = (link, recv)
                 if key in seen:
                     continue
-                verify_state(ctx, link, recv, checked_format=True)
+                verify_state(ctx, link, recv)
                 merge_state(ctx, link, recv)
                 seen.add(key)

@@ -9,8 +9,8 @@ acceptance suite iterates the whole registry.
 from itertools import combinations
 
 from rucon.links import R, X
-from rucon.verification import MergeContext, merge_state, verify_msg_chain, \
-    verify_state
+from rucon.verification import MergeContext, check_format, merge_state, \
+    verify_msg_chain, verify_state
 
 FIXTURES = {}   # "category/rule" -> fixture callable
 
@@ -144,13 +144,13 @@ def _ctx(**kw):
 @_register("format", "bad-state")
 def _fx_bad_state(mutate):
     rand = 9 if mutate else 1       # message randoms live in [0, n)
-    verify_state(_ctx(), (3, 4), ((R, 2, 3, rand), (3, 3)))
+    check_format(_ctx(), (3, 4), ((R, 2, 3, rand), (3, 3)))
 
 
 @_register("format", "bad-source")
 def _fx_bad_source(mutate):
     tb = None if mutate else (3, 3)  # own-observation tag on a foreign link
-    verify_state(_ctx(), (3, 4), ((R, 2, 3, 1), tb))
+    check_format(_ctx(), (3, 4), ((R, 2, 3, 1), tb))
 
 
 @_register("round", "claim8")

@@ -28,8 +28,8 @@ def test_init_is_deterministic():
     a = _fresh(seed=5)
     b = _fresh(seed=5)
     assert (a.proposal, a.q_poly, a.b_poly) == (b.proposal, b.q_poly, b.b_poly)
-    assert a.own_randoms == b.own_randoms
-    assert a.own_xbits == b.own_xbits
+    assert a.randoms == b.randoms
+    assert a.xrandoms == b.xrandoms
 
 
 def test_init_draws_all_evidence_bits():
@@ -37,7 +37,8 @@ def test_init_draws_all_evidence_bits():
     # (n-1)^2 bits in total per round
     for n in (3, 5):
         st = init_agent(1, n, 1 if n > 3 else 0, 0, random.Random(0))
-        total = sum(len(per) for per in st.own_xbits[1].values())
+        total = sum(len(per) for (gen, r, _), per in st.xrandoms.items()
+                    if (gen, r) == (1, 1))
         assert total == (n - 1) ** 2
 
 

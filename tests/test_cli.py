@@ -41,6 +41,16 @@ def test_pattern_file_roundtrip(tmp_path, capsys):
     assert "no_decision" in out
 
 
+def test_pattern_file_malformed_is_usage_error(tmp_path):
+    pattern = tmp_path / "pattern.jsonl"
+    for line in ('{"agent": 5}', '[1, 2]',
+                 '{"agent": 5, "kind": "send", "from_round": 1}',
+                 '{"agent": "5", "kind": "crash", "from_round": 1}'):
+        pattern.write_text(line + "\n")
+        assert main(["run", "--n", "5", "--t", "1", "--seed", "3",
+                     "--pattern", str(pattern)]) == 2, line
+
+
 def test_batch(capsys):
     code = main(["batch", "--n", "5", "--t", "1", "--seed", "0",
                  "--runs", "5"])
@@ -89,11 +99,23 @@ def test_deviate_all_types(capsys):
     assert "verdict: no profitable gain (worst: type" in out
 
 
-def test_deviate_bad_arguments_are_usage_errors():
+def test_deviate_bad_arguments_are_usage_errors(tmp_path):
     base = ["deviate", "--n", "5", "--t", "1", "--seed", "0", "--runs", "2"]
     assert main(base + ["--type", "10", "--agent", "9"]) == 2
     assert main(base + ["--type", "5", "--param", "round=abc"]) == 2
     assert main(base + ["--type", "1", "--param", "targets=[9]"]) == 2
+    assert main(base + ["--type", "10", "--values", "z,z,z,z,z"]) == 2
+    pattern = tmp_path / "pattern.jsonl"
+    pattern.write_text('{"agent": 4, "kind": "crash", "from_round": 1}\n'
+                       '{"agent": 5, "kind": "crash", "from_round": 1}\n')
+    assert main(base + ["--type", "10", "--pattern", str(pattern)]) == 2
+
+
+def test_deviate_honours_values(capsys):
+    # every value a: each honest run decides a, worth 2 to the deviant
+    assert main(["deviate", "--n", "5", "--t", "1", "--seed", "0",
+                 "--runs", "3", "--type", "10", "--values", "a,a,a,a,a"]) == 0
+    assert "type10: honest 2.0000" in capsys.readouterr().out
 
 
 def test_deviate_param_forwarding(capsys):
@@ -146,6 +168,12 @@ def test_verify_trace_unreadable(tmp_path, capsys):
     missing_meta = tmp_path / "meta.jsonl"
     missing_meta.write_text('{"event": "noise"}\n')
     assert main(["verify-trace", str(missing_meta)]) == 2
+    not_object = tmp_path / "list.jsonl"
+    not_object.write_text("[1,2]\n")
+    assert main(["verify-trace", str(not_object)]) == 2
+    no_payload = tmp_path / "payload.jsonl"
+    no_payload.write_text('{"phase": "meta", "event": "config"}\n')
+    assert main(["verify-trace", str(no_payload)]) == 2
     assert main(["verify-trace", str(tmp_path / "absent.jsonl")]) == 2
 
 

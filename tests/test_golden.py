@@ -1,10 +1,12 @@
 """Golden outputs: traces and results pinned over a small seed corpus.
 
-Each group's digest covers, run by run, the trace bytes exactly as
+Each run group's digest covers, run by run, the trace bytes exactly as
 write_trace stores them and every RunResult field but the config, which is
-the run's input. The digests were recorded before the round loop moved into
-the Execution stepper, so a refactor that changes what any run computes or
-records fails here.
+the run's input. The study group's digest covers every ExperimentSummary
+field of the paired deviation study, type by type. The run digests were
+recorded before the round loop moved into the Execution stepper, and the
+study digest before the study stopped sampling its own run inputs, so a
+refactor that changes what any run computes or records fails here.
 """
 
 import dataclasses
@@ -14,10 +16,11 @@ import pytest
 
 from rucon.cli import write_trace
 from rucon.deviations import DEVIATION_TYPES, make_deviation
-from rucon.simulator import RunConfig, run
+from rucon.simulator import RunConfig, deviation_experiment, run
 
 HONEST_SEEDS = range(4)
 DEVIATION_SEEDS = range(2)
+STUDY_RUNS = 5
 
 GOLDEN = {
     "honest-5-1":
@@ -30,6 +33,8 @@ GOLDEN = {
         "a01c849b5c662f0b2b13b058b2fa49d53ed0098a16152eff575fe2a780b41c6b",
     "deviations-7-2":
         "107e49411a80bcdf788f1d55228919400d654402fcba4313fcc23ca41706008d",
+    "study-5-1":
+        "d552e108002f0c88f26e0c0ac4edefc89318d3954fe9f03f2a2a643993fd3807",
 }
 
 
@@ -59,8 +64,22 @@ def _canon(obj):
     return obj
 
 
+def _study_digest(group):
+    _, n, t = group.split("-")
+    base = RunConfig(n=int(n), t=int(t), seed=0)
+    digest = hashlib.sha256()
+    for tid in sorted(DEVIATION_TYPES):
+        summary = deviation_experiment(
+            base, lambda: make_deviation(tid, agent=1, seed=0), STUDY_RUNS)
+        digest.update(repr(dataclasses.astuple(summary)).encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("group", sorted(GOLDEN))
 def test_golden_corpus(group, tmp_path):
+    if group.startswith("study"):
+        assert _study_digest(group) == GOLDEN[group]
+        return
     digest = hashlib.sha256()
     for k, config in enumerate(_configs(group)):
         config.trace = []

@@ -147,6 +147,16 @@ def test_invariant_report_complete():
     assert res.invariants_ok
 
 
+def test_invariants_without_non_faulty_observer():
+    # a pretend crash from round 1 leaves every agent with more than t
+    # severed links, so no agent's view can serve as the reference
+    res = run(RunConfig(n=5, t=1, seed=0, sample_pattern=True,
+                        deviation=make_deviation(10, agent=1, seed=0)))
+    for name in ("clean_round_density", "hs_convergence",
+                 "machinery_agreement"):
+        assert res.invariants[name] == (False, "no non-faulty observer")
+
+
 @given(r=st.integers(1, 8), onset=st.integers(1, 8))
 def test_blocks_is_monotone(r, onset):
     pat = FailurePattern(recv_om={(2, 1): onset})
