@@ -97,8 +97,8 @@ def build_message(state: AgentState, r: int, recipient: int) -> dict:
     msg = {"sender": i, "round": r}
     if r <= t + 3:
         msg["rand"] = state.randoms[(i, r)]
-    if r <= t + 2:
         msg["ns"] = dict(state.ns)
+    if r <= t + 2:
         xrandoms = state.xrandoms
         msg["xr"] = {link: xrandoms[(i, r, link)][recipient]
                      for link in own_links(i, state.n)}
@@ -106,7 +106,6 @@ def build_message(state: AgentState, r: int, recipient: int) -> dict:
         msg["q"] = share_for(state.q_poly, recipient).value
         msg["b"] = share_for(state.b_poly, recipient).value
     elif r == t + 3:
-        msg["ns"] = dict(state.ns)
         msg["shares"] = {gen: pts[i] for gen, pts in sorted(state.shares.items())
                          if gen != recipient and i in pts}
     elif r == t + 4:
@@ -195,16 +194,15 @@ def receive_phase(state: AgentState, r: int, inbox: dict):
 
 
 def _finalize(state: AgentState):
-    """End of round t+3: settle the history, elect, fill the consensus set."""
-    total = state.t + 3
-    last_update(state.hs, state.ns, total)
-    try:
-        m_star = decision_mod.decision_round(state.hs, state.n, state.t)
-    except ProtocolViolationError as exc:
-        state.decision = BOT
-        state.last_error = exc
-        return
-    d_set = decision_mod.decision_set(state.hs, m_star, state.n, state.t)
+    """End of round t+3: settle the history, elect, fill the consensus set.
+
+    Raises ProtocolViolationError on a history without a decision round and
+    ShareInconsistencyError on shares that lie on no common line.
+    """
+    last_update(state.hs, state.ns, state.t + 3)
+    timeline = decision_mod.status_timeline(state.hs, state.n, state.t)
+    m_star = decision_mod.decision_round(timeline, state.t)
+    d_set = decision_mod.decision_set(timeline, m_star, state.n)
     state.m_star, state.d_set = m_star, d_set
     values, proposals = {}, {}
     for a in d_set:
@@ -214,36 +212,32 @@ def _finalize(state: AgentState):
         pts = state.shares.get(a, {})
         if len(pts) < 2:
             return  # not enough shares: leave consensus empty
-        try:
-            values[a] = reconstruct(
-                [Share(pt, qb[0]) for pt, qb in pts.items()], state.p)
-            proposals[a] = reconstruct(
-                [Share(pt, qb[1]) for pt, qb in pts.items()], state.p)
-        except ShareInconsistencyError as exc:
-            state.decision = BOT
-            state.last_error = exc
-            return
+        values[a] = reconstruct(
+            [Share(pt, qb[0]) for pt, qb in pts.items()], state.p)
+        proposals[a] = reconstruct(
+            [Share(pt, qb[1]) for pt, qb in pts.items()], state.p)
     elected = decision_mod.elect(d_set, values, proposals)
     state.elected = elected
     state.consensus.add(elected)
 
 
 def compute_phase(state: AgentState, r: int):
+    """Any inconsistency found in this round's work ends in punishment."""
     if state.decision is not UNDECIDED:
         return
     t = state.t
     if r <= t + 3:
         try:
             verify_and_update(state, state.pending_ns, r)
-        except InconsistencyError as exc:
+            state.pending_ns = {}
+            if r <= t + 2:
+                _gen_randoms(state, r + 1)
+            else:
+                _finalize(state)
+        except (InconsistencyError, ProtocolViolationError,
+                ShareInconsistencyError) as exc:
             state.decision = BOT
             state.last_error = exc
-            return
-        state.pending_ns = {}
-        if r <= t + 2:
-            _gen_randoms(state, r + 1)
-        else:
-            _finalize(state)
     else:
         if len(state.consensus) == 1:
             state.decision = value_decision(next(iter(state.consensus)))

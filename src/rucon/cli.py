@@ -66,8 +66,7 @@ def _build_config(args) -> RunConfig:
     if len(utilities) != 3:
         raise ValueError("utilities must be three comma-separated numbers")
     return RunConfig(n=args.n, t=args.t, seed=args.seed, values=values,
-                     value_domain=domain, pattern=pattern,
-                     sample_pattern=args.sample_pattern, utilities=utilities)
+                     value_domain=domain, pattern=pattern, utilities=utilities)
 
 
 def _print_result(res, out):
@@ -85,6 +84,7 @@ def _print_result(res, out):
 def cmd_run(args, out=None) -> int:
     out = out or sys.stdout
     config = _build_config(args)
+    config.sample_pattern = args.sample_pattern
     sink = [] if args.trace else None
     config.trace = sink
     res = run(config)
@@ -213,11 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated initial values, one per agent")
         p.add_argument("--domain", default="a,b,c")
         p.add_argument("--pattern", default=None, help="failure pattern file")
-        p.add_argument("--sample-pattern", action="store_true")
         p.add_argument("--utilities", default="2,1,0")
 
     p_run = sub.add_parser("run", help="execute one run")
     add_common(p_run)
+    p_run.add_argument("--sample-pattern", action="store_true",
+                       help="sample a failure pattern from the seed")
     p_run.add_argument("--trace", default=None, help="trace output path")
     p_run.set_defaults(func=cmd_run)
 

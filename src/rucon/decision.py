@@ -11,8 +11,6 @@ from __future__ import annotations
 from .errors import ProtocolViolationError
 from .links import FAULTY, classify, link_of
 
-NONFAULTY = "nonfaulty"
-
 
 def agent_status(hs: dict, r: int, n: int, t: int, removed=()):
     """Classify every agent at round r, starting from already-removed ones.
@@ -20,7 +18,7 @@ def agent_status(hs: dict, r: int, n: int, t: int, removed=()):
     An agent is faulty when, among the peers not yet removed, fewer than
     n - t - 1 - f of its links are non-faulty (f = number removed so far).
     Removal is recomputed to a fixpoint, scanning ids in ascending order.
-    Returns (statuses, newly_faulty, removed) with removal being absorbing.
+    Returns (newly_faulty, removed) with removal being absorbing.
     """
     if not 1 <= r <= t + 3:
         raise ValueError(f"round {r} outside 1..{t + 3}")
@@ -43,33 +41,32 @@ def agent_status(hs: dict, r: int, n: int, t: int, removed=()):
                 newly.add(a)
                 changed = True
                 break
-    statuses = {a: (FAULTY if a in removed else NONFAULTY)
-                for a in range(1, n + 1)}
-    return statuses, newly, removed
+    return newly, removed
 
 
 def status_timeline(hs: dict, n: int, t: int):
-    """Newly-faulty sets per round 1..t+3, with removal carrying forward."""
+    """(newly faulty, removed so far) per round 1..t+3; removal carries
+    forward, and each round holds its own removed set."""
     removed: set = set()
-    newly_by_round = {}
+    timeline = {}
     for r in range(1, t + 4):
-        _, newly, removed = agent_status(hs, r, n, t, removed)
-        newly_by_round[r] = newly
-    return newly_by_round
+        newly, removed = agent_status(hs, r, n, t, removed)
+        timeline[r] = (newly, removed)
+    return timeline
 
 
-def clean_rounds(newly_by_round: dict):
-    return sorted(r for r, newly in newly_by_round.items() if not newly)
+def clean_rounds(timeline: dict):
+    return sorted(r for r, (newly, _) in timeline.items() if not newly)
 
 
-def decision_round(hs: dict, n: int, t: int) -> int:
+def decision_round(timeline: dict, t: int) -> int:
     """The round whose survivor set everyone can safely decide from.
 
     That is the earliest round immediately preceding a round in which no new
     agent turned faulty. It always lands in 1..t+2 for legal histories; a
     history without one is a protocol violation.
     """
-    cleans = clean_rounds(status_timeline(hs, n, t))
+    cleans = clean_rounds(timeline)
     candidates = [c - 1 for c in cleans if c >= 2]
     if not candidates:
         raise ProtocolViolationError("no fault-quiet round in the history")
@@ -79,11 +76,9 @@ def decision_round(hs: dict, n: int, t: int) -> int:
     return m_star
 
 
-def decision_set(hs: dict, m_star: int, n: int, t: int):
+def decision_set(timeline: dict, m_star: int, n: int):
     """Agents still non-faulty at the decision round, ascending."""
-    removed: set = set()
-    for r in range(1, m_star + 1):
-        _, _, removed = agent_status(hs, r, n, t, removed)
+    removed = timeline[m_star][1]
     return [a for a in range(1, n + 1) if a not in removed]
 
 

@@ -233,6 +233,13 @@ class LinkStateLie(Deviation):
 
     type_id = 6
 
+    def bind(self, n, t, domain_size):
+        super().bind(n, t, domain_size)
+        m = self.params.get("round", 3)
+        if not 1 <= m <= t + 3:   # round t+4 messages carry no table
+            raise ValueError(f"link-state lie round must be in 1..{t + 3}, "
+                             f"got {m}")
+
     def mutate_outgoing(self, st, r, msgs):
         m = self.params.get("round", 3)
         case = self.params.get("case", 1)

@@ -156,7 +156,7 @@ def verify_msg_chain(ctx: MergeContext):
                         "chain", "claim5", link, t_a[1],
                         "failure round beyond what relays could carry")
                 if k_conn != p_conn and t_a is not None:
-                    conn_end, dis_end = (k, p) if k_conn else (p, k)
+                    dis_end = p if k_conn else k
                     if t_a[0] == R:
                         # Claim 6: the disconnected end was alive at m-1, so its
                         # other links must be known through m-2 and no further.
@@ -295,73 +295,8 @@ def _check_random(ctx: MergeContext, link, t_a):
             idx += 1
 
 
-def _check_round_relations(ctx: MergeContext, link, t_a):
-    i = ctx.self_id
-    local = ctx.ns.get(link)
-    if local is None:
-        return
-    lta = local[0]
-    lr, li = lta[1], lta[2]
-    rr, ri = t_a[1], t_a[2]
-    if link[0] == i or link[1] == i:
-        partner = link[0] if link[1] == i else link[1]
-        if lta[0] == R and t_a[0] == R:
-            if rr >= lr:
-                raise InconsistencyError(
-                    "round", "claim9", link, rr,
-                    "relayed correct-report at or beyond the current round")
-        elif lta[0] == X and t_a[0] == R:
-            if rr > lr:
-                raise InconsistencyError(
-                    "round", "claim10", link, rr,
-                    "correct-report newer than the known failure round")
-        elif lta[0] == X and t_a[0] == X:
-            if li == i:
-                if ri == i:
-                    if t_a != lta:
-                        raise InconsistencyError(
-                            "round", "claim11", link, rr,
-                            "our own report came back altered")
-                elif abs(lr - rr) > 1:
-                    raise InconsistencyError(
-                        "round", "claim11", link, rr,
-                        "endpoint failure rounds differ by more than one")
-            else:  # local report by the partner
-                if ri == partner:
-                    if t_a != lta:
-                        raise InconsistencyError(
-                            "round", "claim12", link, rr,
-                            "partner's report came back altered")
-                elif rr != lr + 1:
-                    raise InconsistencyError(
-                        "round", "claim12", link, rr,
-                        "our detection must trail the partner's by one round")
-        # local R / recv X is Case 2, handled at merge
-    else:
-        if lta[0] == R and t_a[0] == X:
-            if (ri == li and lr >= rr) or (ri != li and lr > rr):
-                raise InconsistencyError(
-                    "round", "case7", link, rr,
-                    "failure round contradicts a correct-report we hold")
-        elif lta[0] == X and t_a[0] == R:
-            if (ri == li and lr <= rr) or (ri != li and lr < rr):
-                raise InconsistencyError(
-                    "round", "case8", link, rr,
-                    "correct-report contradicts a failure round we hold")
-        elif lta[0] == X and t_a[0] == X:
-            if ri == li:
-                if t_a != lta:
-                    raise InconsistencyError(
-                        "round", "case9", link, rr,
-                        "same reporter, different failure report")
-            elif abs(lr - rr) > 1:
-                raise InconsistencyError(
-                    "round", "case9", link, rr,
-                    "endpoint failure rounds differ by more than one")
-
-
 def verify_state(ctx: MergeContext, link, recv):
-    """The round, source and random checks for one received report, which
+    """The reporter, source and random checks for one received report, which
     check_format has already passed."""
     t_a, t_b = recv
     if t_a[2] != link[0] and t_a[2] != link[1]:
@@ -370,58 +305,100 @@ def verify_state(ctx: MergeContext, link, recv):
             f"reporter {t_a[2]} is not an endpoint")
     _check_source(ctx, link, t_a, t_b)
     _check_random(ctx, link, t_a)
-    _check_round_relations(ctx, link, t_a)
 
 
 def merge_state(ctx: MergeContext, link, recv):
     """Fold one verified report into the local tables (the 11-case table).
 
-    Case 10 (received unknown) never reaches here: absence of the entry is
-    handled by the caller. The only error path left after verification is
-    Case 2, a faulty report for a direct link we observed correct this very
-    round.
+    Each case first checks the round relations it rests on (claims 9-12 on
+    direct links, cases 7-9 on indirect ones), then merges. Case 10
+    (received unknown) never reaches here: absence of the entry is handled
+    by the caller. Case 2, a faulty report for a direct link we observed
+    correct this very round, is always an inconsistency.
     """
     t_a, _ = recv
     ns, hs = ctx.ns, ctx.hs
     i, j, r = ctx.self_id, ctx.sender, ctx.round
     local = ns.get(link)
-    if local is None:  # Case 11
+    if local is None:                            # Case 11
         ns[link] = (t_a, (j, r))
         append_hs(hs, link, t_a)
         return
     lta = local[0]
+    lr, li = lta[1], lta[2]
+    rr, ri = t_a[1], t_a[2]
     if link[0] == i or link[1] == i:
         if lta[0] == R and t_a[0] == R:          # Case 1
+            if rr >= lr:
+                raise InconsistencyError(
+                    "round", "claim9", link, rr,
+                    "relayed correct-report at or beyond the current round")
             append_hs(hs, link, t_a)
-        elif lta[0] == R and t_a[0] == X:        # Case 2
+        elif lta[0] == R:                        # Case 2
             raise InconsistencyError(
-                "merge", "case2", link, t_a[1],
+                "merge", "case2", link, rr,
                 "faulty report for a link observed correct this round")
-        elif lta[0] == X and t_a[0] == R:        # Case 3
+        elif t_a[0] == R:                        # Case 3
+            if rr > lr:
+                raise InconsistencyError(
+                    "round", "claim10", link, rr,
+                    "correct-report newer than the known failure round")
             append_hs(hs, link, t_a)
-        else:                                    # Cases 4 and 5
-            if lta[2] == i:                      # Case 4
-                if t_a[1] == lta[1] or t_a[1] == lta[1] + 1:
-                    append_hs(hs, link, t_a)
-                elif t_a[1] == lta[1] - 1:
-                    ns[link] = (t_a, (j, r))
-                    append_hs(hs, link, t_a)
-            # Case 5 (local report by the partner): nothing to do.
-    else:
-        if lta[0] == R and t_a[0] == R:          # Case 6
-            if t_a[1] > lta[1]:
+        elif li == i:                            # Case 4: our own detection
+            if ri == i:
+                if t_a != lta:
+                    raise InconsistencyError(
+                        "round", "claim11", link, rr,
+                        "our own report came back altered")
+            elif abs(lr - rr) > 1:
+                raise InconsistencyError(
+                    "round", "claim11", link, rr,
+                    "endpoint failure rounds differ by more than one")
+            if rr == lr - 1:
                 ns[link] = (t_a, (j, r))
             append_hs(hs, link, t_a)
-        elif lta[0] == R and t_a[0] == X:        # Case 7
+        else:                                    # Case 5: the partner's detection
+            partner = link[0] if link[1] == i else link[1]
+            if ri == partner:
+                if t_a != lta:
+                    raise InconsistencyError(
+                        "round", "claim12", link, rr,
+                        "partner's report came back altered")
+            elif rr != lr + 1:
+                raise InconsistencyError(
+                    "round", "claim12", link, rr,
+                    "our detection must trail the partner's by one round")
+    else:
+        if lta[0] == R and t_a[0] == R:          # Case 6
+            if rr > lr:
+                ns[link] = (t_a, (j, r))
+            append_hs(hs, link, t_a)
+        elif lta[0] == R:                        # Case 7
+            if (ri == li and lr >= rr) or (ri != li and lr > rr):
+                raise InconsistencyError(
+                    "round", "case7", link, rr,
+                    "failure round contradicts a correct-report we hold")
             ns[link] = (t_a, (j, r))
             append_hs(hs, link, t_a)
-        elif lta[0] == X and t_a[0] == R:        # Case 8
+        elif t_a[0] == R:                        # Case 8
+            if (ri == li and lr <= rr) or (ri != li and lr < rr):
+                raise InconsistencyError(
+                    "round", "case8", link, rr,
+                    "correct-report contradicts a failure round we hold")
             append_hs(hs, link, t_a)
-        else:                                    # Case 9
-            if t_a[2] != lta[2]:
-                if lta[1] > t_a[1]:
-                    ns[link] = (t_a, (j, r))
-                append_hs(hs, link, t_a)
+        elif ri == li:                           # Case 9, same reporter
+            if t_a != lta:
+                raise InconsistencyError(
+                    "round", "case9", link, rr,
+                    "same reporter, different failure report")
+        else:                                    # Case 9, other endpoint
+            if abs(lr - rr) > 1:
+                raise InconsistencyError(
+                    "round", "case9", link, rr,
+                    "endpoint failure rounds differ by more than one")
+            if lr > rr:
+                ns[link] = (t_a, (j, r))
+            append_hs(hs, link, t_a)
 
 
 def evidence_vector(xrandoms: dict, gen: int, round_: int, link) -> tuple:
@@ -481,16 +458,10 @@ def verify_and_update(state, received: dict, r: int):
     seen = set()
     for j in senders:
         ctx = contexts[j]
-        recv_ns = received[j]
-        for k in range(1, n):
-            for p in range(k + 1, n + 1):
-                link = (k, p)
-                recv = recv_ns.get(link)
-                if recv is None:    # Case 10
-                    continue
-                key = (link, recv)
-                if key in seen:
-                    continue
-                verify_state(ctx, link, recv)
-                merge_state(ctx, link, recv)
-                seen.add(key)
+        for link, recv in sorted(received[j].items()):
+            key = (link, recv)
+            if key in seen:
+                continue
+            verify_state(ctx, link, recv)
+            merge_state(ctx, link, recv)
+            seen.add(key)

@@ -141,6 +141,13 @@ def _ctx(**kw):
     return MergeContext(**base)
 
 
+def _verify_merge(ctx, link, recv):
+    """One report through phase 3 as production runs it: the round
+    relations are checked by merge_state, case by case."""
+    verify_state(ctx, link, recv)
+    merge_state(ctx, link, recv)
+
+
 @_register("format", "bad-state")
 def _fx_bad_state(mutate):
     rand = 9 if mutate else 1       # message randoms live in [0, n)
@@ -163,43 +170,43 @@ def _fx_claim8(mutate):
 def _fx_claim9(mutate):
     ctx = _ctx(ns={(1, 2): ((R, 4, 1, 0), None)})
     rd = 4 if mutate else 3         # a relay can only lag our own view
-    verify_state(ctx, (1, 2), ((R, rd, 2, 3), None))
+    _verify_merge(ctx, (1, 2), ((R, rd, 2, 3), None))
 
 
 @_register("round", "claim10")
 def _fx_claim10(mutate):
     ctx = _ctx(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     rd = 3 if mutate else 2         # correct-report beyond the failure round
-    verify_state(ctx, (1, 2), ((R, rd, 2, 1), None))
+    _verify_merge(ctx, (1, 2), ((R, rd, 2, 1), None))
 
 
 @_register("round", "claim11")
 def _fx_claim11(mutate):
     ctx = _ctx(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # our report, altered
-    verify_state(ctx, (1, 2), ((X, 2, 1, bits), (3, 3)))
+    _verify_merge(ctx, (1, 2), ((X, 2, 1, bits), (3, 3)))
 
 
 @_register("round", "claim11", suffix=":gap")
 def _fx_claim11_gap(mutate):
     ctx = _ctx(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     rd = 4 if mutate else 3         # endpoint detections differ by > 1
-    verify_state(ctx, (1, 2), ((X, rd, 2, (1, 0, 1, 0)), None))
+    _verify_merge(ctx, (1, 2), ((X, rd, 2, (1, 0, 1, 0)), None))
 
 
 @_register("round", "claim12")
 def _fx_claim12(mutate):
     ctx = _ctx(ns={(1, 2): ((X, 2, 2, (0, 1, 0, 1)), (2, 3))})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # partner's, altered
-    verify_state(ctx, (1, 2), ((X, 2 + mutate, 2, bits), None)
-                 if mutate else ((X, 2, 2, bits), None))
+    _verify_merge(ctx, (1, 2), ((X, 2 + mutate, 2, bits), None)
+                  if mutate else ((X, 2, 2, bits), None))
 
 
 @_register("round", "claim12", suffix=":lag")
 def _fx_claim12_lag(mutate):
     ctx = _ctx(round=6, ns={(1, 2): ((X, 2, 2, (0, 1, 0, 1)), (2, 3))})
     rd = 2 if mutate else 3         # our own detection must trail by one
-    verify_state(ctx, (1, 2), ((X, rd, 1, (0, 0, 0, 0)), (3, rd + 1)))
+    _verify_merge(ctx, (1, 2), ((X, rd, 1, (0, 0, 0, 0)), (3, rd + 1)))
 
 
 @_register("source", "claim13")
@@ -243,28 +250,28 @@ def _fx_xrandom_mismatch(mutate):
 def _fx_case7(mutate):
     ctx = _ctx(round=6, ns={(3, 4): ((R, 2, 3, 1), (3, 3))})
     rd = 2 if mutate else 3         # failure round at or before a correct one
-    verify_state(ctx, (3, 4), ((X, rd, 3, (0, 1, 0, 1)), (3, rd + 1)))
+    _verify_merge(ctx, (3, 4), ((X, rd, 3, (0, 1, 0, 1)), (3, rd + 1)))
 
 
 @_register("round", "case8")
 def _fx_case8(mutate):
     ctx = _ctx(ns={(3, 4): ((X, 2, 3, (0, 1, 0, 1)), (3, 3))})
     rd = 2 if mutate else 1         # correct-report at or after the failure
-    verify_state(ctx, (3, 4), ((R, rd, 3, 1), (3, rd + 1)))
+    _verify_merge(ctx, (3, 4), ((R, rd, 3, 1), (3, rd + 1)))
 
 
 @_register("round", "case9")
 def _fx_case9(mutate):
     ctx = _ctx(ns={(3, 4): ((X, 2, 3, (0, 1, 0, 1)), (3, 3))})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # same reporter, altered
-    verify_state(ctx, (3, 4), ((X, 2, 3, bits), (3, 3)))
+    _verify_merge(ctx, (3, 4), ((X, 2, 3, bits), (3, 3)))
 
 
 @_register("round", "case9", suffix=":gap")
 def _fx_case9_gap(mutate):
     ctx = _ctx(round=6, ns={(3, 4): ((X, 1, 3, (0, 1, 0, 1)), (3, 2))})
     rd = 3 if mutate else 2         # endpoint detections differ by > 1
-    verify_state(ctx, (3, 4), ((X, rd, 4, (1, 0, 1, 0)), (3, rd + 1)))
+    _verify_merge(ctx, (3, 4), ((X, rd, 4, (1, 0, 1, 0)), (3, rd + 1)))
 
 
 @_register("merge", "case2")
@@ -272,5 +279,4 @@ def _fx_case2(mutate):
     ctx = _ctx(ns={(1, 2): ((R, 5, 1, 2), None)}, hs={})
     recv = ((X, 4, 2, (0, 1, 0, 1)), None) if mutate \
         else ((R, 4, 2, 1), None)
-    verify_state(ctx, (1, 2), recv)
-    merge_state(ctx, (1, 2), recv)
+    _verify_merge(ctx, (1, 2), recv)

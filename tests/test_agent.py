@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from rucon.agent import (BOT, NO_DECISION, UNDECIDED, AgentState,
-                         build_message, compute_phase, init_agent,
-                         receive_phase, send_phase)
+from rucon.agent import (BOT, NO_DECISION, UNDECIDED, build_message,
+                         compute_phase, init_agent, receive_phase,
+                         send_phase)
 from conftest import run_agents
 
 

@@ -64,6 +64,8 @@ def test_batch(capsys):
 def test_batch_honours_values_and_pattern(tmp_path, capsys):
     assert main(["batch", "--n", "5", "--t", "1", "--seed", "0",
                  "--runs", "2", "--values", "z,z,z,z,z"]) == 2
+    assert main(["batch", "--n", "5", "--t", "1", "--seed", "0",
+                 "--runs", "2", "--sample-pattern"]) == 2
     pattern = tmp_path / "pattern.jsonl"
     pattern.write_text('{"agent": 5, "kind": "crash", "from_round": 1}\n')
     code = main(["batch", "--n", "5", "--t", "1", "--seed", "0",
@@ -105,6 +107,11 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path):
     assert main(base + ["--type", "5", "--param", "round=abc"]) == 2
     assert main(base + ["--type", "1", "--param", "targets=[9]"]) == 2
     assert main(base + ["--type", "10", "--values", "z,z,z,z,z"]) == 2
+    # round t+4 messages carry no table to lie in
+    assert main(base + ["--type", "7", "--param", "round=5"]) == 2
+    assert main(base + ["--type", "6", "--param", "round=5"]) == 2
+    # deviate always samples, so only run takes the flag
+    assert main(base + ["--type", "10", "--sample-pattern"]) == 2
     pattern = tmp_path / "pattern.jsonl"
     pattern.write_text('{"agent": 4, "kind": "crash", "from_round": 1}\n'
                        '{"agent": 5, "kind": "crash", "from_round": 1}\n')

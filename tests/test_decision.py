@@ -3,11 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rucon.decision import (NONFAULTY, agent_status, clean_rounds,
-                            decision_round, decision_set, elect,
-                            status_timeline)
+from rucon.decision import (agent_status, clean_rounds, decision_round,
+                            decision_set, elect, status_timeline)
 from rucon.errors import ProtocolViolationError
-from rucon.links import FAULTY, R, X, append_hs, link_of
+from rucon.links import X, link_of
 
 
 def _mark_faulty(hs, agent, peers, rounds, n=5):
@@ -24,15 +23,12 @@ def test_agent_status_threshold():
     # two faulty links leave agent 3 with 2 < n-t-1 = 3 correct ones
     hs = {}
     _mark_faulty(hs, 3, [1, 2], [1])
-    statuses, newly, removed = agent_status(hs, 1, n=5, t=1)
-    assert statuses[3] == FAULTY
+    newly, removed = agent_status(hs, 1, n=5, t=1)
     assert newly == removed == {3}
-    assert all(statuses[a] == NONFAULTY for a in (1, 2, 4, 5))
 
 
 def test_agent_status_fault_free():
-    statuses, newly, removed = agent_status({}, 1, n=5, t=1)
-    assert set(statuses.values()) == {NONFAULTY}
+    newly, removed = agent_status({}, 1, n=5, t=1)
     assert not newly and not removed
 
 
@@ -41,8 +37,8 @@ def test_agent_status_excludes_removed_peers():
     # which no longer counts against it
     hs = {}
     _mark_faulty(hs, 3, [4], [1])
-    statuses, newly, _ = agent_status(hs, 1, n=5, t=1, removed={4})
-    assert statuses[3] == NONFAULTY
+    newly, removed = agent_status(hs, 1, n=5, t=1, removed={4})
+    assert removed == {4}
     assert not newly
 
 
@@ -56,7 +52,7 @@ def test_agent_status_round_range():
 def test_decision_round_fault_free():
     # newly-faulty counts [0,0,0,0]: first two fault-quiet rounds are 1
     # and 2; the decision round precedes the earliest usable one
-    assert decision_round({}, n=5, t=1) == 1
+    assert decision_round(status_timeline({}, n=5, t=1), t=1) == 1
 
 
 def test_decision_round_alternating_faults():
@@ -66,8 +62,8 @@ def test_decision_round_alternating_faults():
     _mark_faulty(hs, 4, [1, 2], range(1, 5))
     _mark_faulty(hs, 5, [1, 2], range(3, 5))
     timeline = status_timeline(hs, n=5, t=1)
-    assert [len(timeline[r]) for r in range(1, 5)] == [1, 0, 1, 0]
-    assert decision_round(hs, n=5, t=1) == 1
+    assert [len(timeline[r][0]) for r in range(1, 5)] == [1, 0, 1, 0]
+    assert decision_round(timeline, t=1) == 1
 
 
 def test_decision_round_skips_round_zero():
@@ -76,33 +72,33 @@ def test_decision_round_skips_round_zero():
     hs = {}
     _mark_faulty(hs, 5, [1, 2], range(2, 5))
     timeline = status_timeline(hs, n=5, t=1)
-    assert [len(timeline[r]) for r in range(1, 5)] == [0, 1, 0, 0]
-    assert decision_round(hs, n=5, t=1) == 2
+    assert [len(timeline[r][0]) for r in range(1, 5)] == [0, 1, 0, 0]
+    assert decision_round(timeline, t=1) == 2
 
 
-def test_decision_round_without_quiet_round(monkeypatch):
+def test_decision_round_without_quiet_round():
     # a history with a new faulty agent in every round has no usable
-    # quiet round; unreachable honestly, so the timeline is stubbed
-    import rucon.decision as dec
-    monkeypatch.setattr(dec, "status_timeline",
-                        lambda hs, n, t: {r: {r} for r in range(1, t + 4)})
+    # quiet round; unreachable honestly, so the timeline is built by hand
+    timeline = {r: ({r}, set(range(1, r + 1))) for r in range(1, 5)}
     with pytest.raises(ProtocolViolationError):
-        dec.decision_round({}, n=5, t=1)
+        decision_round(timeline, t=1)
 
 
 def test_clean_rounds():
-    assert clean_rounds({1: set(), 2: {3}, 3: set()}) == [1, 3]
+    assert clean_rounds({1: (set(), set()), 2: ({3}, {3}),
+                         3: (set(), {3})}) == [1, 3]
 
 
 def test_decision_set_fault_free():
-    assert decision_set({}, 1, n=3, t=0) == [1, 2, 3]
+    assert decision_set(status_timeline({}, n=3, t=0), 1, n=3) == [1, 2, 3]
 
 
 def test_decision_set_excludes_faulty():
     hs = {}
     _mark_faulty(hs, 4, [1, 2], range(1, 5))
-    m_star = decision_round(hs, n=5, t=1)
-    assert decision_set(hs, m_star, n=5, t=1) == [1, 2, 3, 5]
+    timeline = status_timeline(hs, n=5, t=1)
+    m_star = decision_round(timeline, t=1)
+    assert decision_set(timeline, m_star, n=5) == [1, 2, 3, 5]
 
 
 def test_elect_unique_second_max():

@@ -4,9 +4,12 @@ Each run group's digest covers, run by run, the trace bytes exactly as
 write_trace stores them and every RunResult field but the config, which is
 the run's input. The study group's digest covers every ExperimentSummary
 field of the paired deviation study, type by type. The run digests were
-recorded before the round loop moved into the Execution stepper, and the
-study digest before the study stopped sampling its own run inputs, so a
-refactor that changes what any run computes or records fails here.
+recorded before the round loop moved into the Execution stepper, the study
+digest before the study stopped sampling its own run inputs, and the lies
+digests (every type-6 sub-case and type 7 at every round that ships a
+table, which reach the round-relation and merge rules) before the merge
+table checked and merged each case in one dispatch, so a refactor that
+changes what any run computes or records fails here.
 """
 
 import dataclasses
@@ -33,6 +36,10 @@ GOLDEN = {
         "a01c849b5c662f0b2b13b058b2fa49d53ed0098a16152eff575fe2a780b41c6b",
     "deviations-7-2":
         "107e49411a80bcdf788f1d55228919400d654402fcba4313fcc23ca41706008d",
+    "lies-5-1":
+        "6363f8f68f0f53cd3d97e81af2b677ec2ba79fd8c1f947bb342d8bd9612c3c2d",
+    "lies-7-2":
+        "60e352731448336dfe9f608e4b9dc3337720a7b28fcc6aae6ec7f6a25ed4dd9b",
     "study-5-1":
         "d552e108002f0c88f26e0c0ac4edefc89318d3954fe9f03f2a2a643993fd3807",
 }
@@ -44,11 +51,18 @@ def _configs(group):
     if kind == "honest":
         return [RunConfig(n=n, t=t, seed=s, sample_pattern=True)
                 for s in HONEST_SEEDS]
+    if kind == "deviations":
+        devs = [(tid, {}) for tid in sorted(DEVIATION_TYPES)]
+    else:
+        rounds = range(2, t + 4)
+        devs = ([(6, {"case": c, "round": r})
+                 for c in range(1, 9) for r in rounds]
+                + [(7, {"round": r}) for r in rounds])
     # invariants off, as in the deviation study
     return [RunConfig(n=n, t=t, seed=s, sample_pattern=True,
                       check_invariants=False,
-                      deviation=make_deviation(tid, agent=1, seed=s))
-            for tid in sorted(DEVIATION_TYPES) for s in DEVIATION_SEEDS]
+                      deviation=make_deviation(tid, agent=1, seed=s, **params))
+            for tid, params in devs for s in DEVIATION_SEEDS]
 
 
 def _canon(obj):

@@ -11,7 +11,7 @@ from rucon.links import R, X
 from rucon.simulator import RunConfig, run
 from rucon.verification import (MergeContext, merge_state, register_random,
                                 register_xrandom, verify_and_update,
-                                verify_msg_chain, verify_state)
+                                verify_msg_chain)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
