@@ -32,6 +32,11 @@ class MalformedMessageError(Exception):
     """An inbound message does not have the shape this round requires."""
 
 
+# Every error a phase answers with the punishment decision.
+PUNISHABLE = (MalformedMessageError, InconsistencyError,
+              ProtocolViolationError, ShareInconsistencyError)
+
+
 @dataclass
 class AgentState:
     id: int
@@ -183,7 +188,7 @@ def receive_phase(state: AgentState, r: int, inbox: dict):
             continue
         try:
             _ingest(state, j, r, msg)
-        except (MalformedMessageError, InconsistencyError) as exc:
+        except PUNISHABLE as exc:
             state.decision = BOT
             state.last_error = exc
             return
@@ -234,8 +239,7 @@ def compute_phase(state: AgentState, r: int):
                 _gen_randoms(state, r + 1)
             else:
                 _finalize(state)
-        except (InconsistencyError, ProtocolViolationError,
-                ShareInconsistencyError) as exc:
+        except PUNISHABLE as exc:
             state.decision = BOT
             state.last_error = exc
     else:

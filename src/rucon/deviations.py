@@ -21,6 +21,7 @@ Types:
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .agent import UNDECIDED, NO_DECISION, build_message, own_links
 from .links import R, X, link_of
@@ -29,28 +30,44 @@ from .verification import evidence_vector
 
 
 class Deviation:
-    """Base: an honest agent in disguise. Subclasses override hooks."""
+    """Base: an honest agent in disguise. Subclasses override hooks.
+
+    `defaults` declares each parameter a type takes and its default; each
+    becomes an attribute. A `round` may name any of rounds 1..t+last_round.
+    """
 
     type_id = 0
+    defaults: dict = {}
+    last_round = 4
 
     def __init__(self, agent: int = 1, seed: int = 0, **params):
         self.agent = agent
         self.params = params
+        for name, default in self.defaults.items():
+            setattr(self, name, params.get(name, default))
         self.rng = random.Random(f"deviation:{self.type_id}:{agent}:{seed}")
         self.applied = False
-        self.guesses = []       # (peer, round, guessed random)
+        self.guesses = {}       # (peer, round) -> guessed random
         self.n = self.t = self.domain_size = None
 
     def bind(self, n: int, t: int, domain_size: int):
         """Fix the run's parameters; reject parameters the run cannot use."""
-        rnd = self.params.get("round", 1)
-        if type(rnd) is not int:
-            raise ValueError(f"deviation round must be an integer, got {rnd!r}")
-        targets = self.params.get("targets", [])
-        if not isinstance(targets, (list, tuple)) or any(
-                type(j) is not int or not 1 <= j <= n for j in targets):
+        for name, value in self.params.items():
+            default = self.defaults.get(name)
+            if name not in self.defaults or (
+                    default is not None and type(value) is not type(default)):
+                raise ValueError(f"deviation type {self.type_id} takes no "
+                                 f"{name}={value!r}")
+        last = t + self.last_round
+        if "round" in self.defaults and not 1 <= self.round <= last:
+            raise ValueError(f"deviation round must be in 1..{last}, "
+                             f"got {self.round}")
+        if "targets" in self.params and (
+                not isinstance(self.targets, (list, tuple)) or any(
+                    type(j) is not int or not 1 <= j <= n
+                    for j in self.targets)):
             raise ValueError(f"deviation targets must be agents in 1..{n}, "
-                             f"got {targets!r}")
+                             f"got {self.targets!r}")
         self.n, self.t, self.domain_size = n, t, domain_size
 
     def describe(self) -> str:
@@ -73,13 +90,14 @@ class Deviation:
         pass
 
     def _targets(self, default):
-        return self.params.get("targets", default)
+        return default if self.targets is None else self.targets
 
 
 class FakeValueShares(Deviation):
     """Round 1: a subset of peers gets shares of a different value."""
 
     type_id = 1
+    defaults = {"targets": None}
 
     def mutate_outgoing(self, st, r, msgs):
         if r != 1:
@@ -98,6 +116,7 @@ class GarbageShares(Deviation):
     """Round 1: shares that lie on no single line."""
 
     type_id = 2
+    defaults = {"targets": None}
 
     def mutate_outgoing(self, st, r, msgs):
         if r != 1:
@@ -138,9 +157,10 @@ class MalformedMessages(Deviation):
     """From round m, targeted peers receive structural garbage."""
 
     type_id = 4
+    defaults = {"round": 2, "targets": None}
 
     def mutate_outgoing(self, st, r, msgs):
-        if r < self.params.get("round", 2):
+        if r < self.round:
             return msgs
         for j in self._targets(sorted(msgs)):
             if j in msgs:
@@ -159,23 +179,17 @@ class IgnorePeers(Deviation):
     """
 
     type_id = 5
+    defaults = {"round": 2, "guess": True}
+    dropped = None
 
-    def __init__(self, agent=1, seed=0, **params):
-        super().__init__(agent, seed, **params)
-        self.dropped = None
-        self._guess_cache = {}
-
-    def _guess(self, st, peer, round_):
+    def _guess(self, peer, round_):
         key = (peer, round_)
-        if key not in self._guess_cache:
-            g = self.rng.randrange(self.n)
-            self._guess_cache[key] = g
-            self.guesses.append((peer, round_, g))
-        return self._guess_cache[key]
+        if key not in self.guesses:
+            self.guesses[key] = self.rng.randrange(self.n)
+        return self.guesses[key]
 
     def filter_inbox(self, st, r, inbox):
-        m = self.params.get("round", 2)
-        if r < m:
+        if r < self.round:
             return inbox
         if self.dropped is None:
             candidates = [j for j in range(1, self.n + 1)
@@ -198,21 +212,18 @@ class IgnorePeers(Deviation):
         return msgs
 
     def after_compute(self, st, r):
-        if not self.params.get("guess", True):
+        if not self.guess:
             return
         if st.decision is not UNDECIDED or self.dropped is None or r > self.t + 2:
             return
         dropped = sorted(self.dropped)
         for q in dropped:
             link = link_of(st.id, q)
-            st.ns[link] = ((R, r, st.id, self._guess(st, q, r)), None)
-        for a_idx in range(len(dropped)):
-            for b_idx in range(a_idx + 1, len(dropped)):
-                qa, qb = dropped[a_idx], dropped[b_idx]
-                if r < 2:
-                    continue
+            st.ns[link] = ((R, r, st.id, self._guess(q, r)), None)
+        if r >= 2:
+            for qa, qb in combinations(dropped, 2):
                 st.ns[(qa, qb)] = (
-                    (R, r - 1, qa, self._guess(st, qb, r - 1)), (qa, r))
+                    (R, r - 1, qa, self._guess(qb, r - 1)), (qa, r))
 
 
 def _fabricate_bits(st, rng, reporter, round_, link, n):
@@ -232,20 +243,13 @@ class LinkStateLie(Deviation):
     """
 
     type_id = 6
-
-    def bind(self, n, t, domain_size):
-        super().bind(n, t, domain_size)
-        m = self.params.get("round", 3)
-        if not 1 <= m <= t + 3:   # round t+4 messages carry no table
-            raise ValueError(f"link-state lie round must be in 1..{t + 3}, "
-                             f"got {m}")
+    defaults = {"round": 3, "case": 1}
+    last_round = 3      # round t+4 messages carry no table
 
     def mutate_outgoing(self, st, r, msgs):
-        m = self.params.get("round", 3)
-        case = self.params.get("case", 1)
-        if r != m or not msgs:
+        if r != self.round or not msgs:
             return msgs
-        lie = self._build_lie(st, r, case)
+        lie = self._build_lie(st, r)
         if lie is None:
             return msgs
         link, entry = lie
@@ -273,8 +277,8 @@ class LinkStateLie(Deviation):
                 return link, entry
         return None
 
-    def _build_lie(self, st, r, case):
-        i, n = st.id, self.n
+    def _build_lie(self, st, r):
+        i, n, case = st.id, self.n, self.case
         if case == 1:
             pick = self._pick(st, True, R)
             if pick is None:
@@ -340,8 +344,9 @@ class WrongRandomRelay(LinkStateLie):
     """Alter the random inside one relayed correct-report."""
 
     type_id = 7
+    defaults = {"round": 3}
 
-    def _build_lie(self, st, r, case):
+    def _build_lie(self, st, r):
         pick = self._pick(st, False, R)
         if pick is None:
             return None
@@ -353,6 +358,7 @@ class CorruptShareRelay(Deviation):
     """Reconstruction round: one forwarded share is shifted off the line."""
 
     type_id = 8
+    defaults = {"targets": None}
 
     def mutate_outgoing(self, st, r, msgs):
         if r != self.t + 3:
@@ -393,9 +399,10 @@ class PretendCrash(Deviation):
     """Send nothing from round m on; keep listening."""
 
     type_id = 10
+    defaults = {"round": 1}
 
     def mutate_outgoing(self, st, r, msgs):
-        if r >= self.params.get("round", 1):
+        if r >= self.round:
             self.applied = True
             return {}
         return msgs

@@ -49,18 +49,14 @@ def append_hs(hs: dict, link: tuple[int, int], t_a) -> dict:
 
     Idempotent for byte-identical tuples (the same report legitimately
     arrives over several relay paths). Raises InconsistencyError when the
-    report cannot coexist with what is already recorded: a reporter that is
-    not an endpoint, a same-reporter tuple with different content, or a
-    third distinct tuple.
+    report cannot coexist with what is already recorded: a same-reporter
+    tuple with different content, or a third distinct tuple. That the
+    reporter is an endpoint (claim 8) is checked once, by verify_state,
+    before any received report reaches here.
     """
     if t_a is None:
         raise ValueError("unknown states are absence, not HS entries")
     reporter = t_a[2]
-    if reporter != link[0] and reporter != link[1]:
-        raise InconsistencyError(
-            "round", "claim8", link, t_a[1],
-            f"reporter {reporter} is not an endpoint of {link}",
-        )
     key = (link, t_a[1])
     existing = hs.get(key)
     if existing is None:

@@ -280,7 +280,7 @@ class Execution:
             invariants.update(self.monitor.finalize(agents))
 
         guesses = []
-        for (peer, round_, guess) in self.dev.guesses:
+        for (peer, round_), guess in self.dev.guesses.items():
             actual = agents[peer].randoms.get((peer, round_))
             if actual is None:
                 continue  # the peer never drew that round's random

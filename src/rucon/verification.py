@@ -84,6 +84,27 @@ def _knows_round(t_a, r: int) -> bool:
     return t_a[1] >= r
 
 
+def _report(recv: dict, link):
+    """The report half of a received table's entry; None when unknown."""
+    entry = recv.get(link)
+    return entry[0] if entry is not None else None
+
+
+def _require_exact(t_a, b: int, rule: str, link, unknown: str, stale: str):
+    """A report that pins the link down through round b exactly: unknown
+    only while b < 1, correct at round b, or failed by round b."""
+    if t_a is None:
+        if b >= 1:
+            raise InconsistencyError("chain", rule, link, b, unknown)
+    elif t_a[0] == R:
+        if t_a[1] != b:
+            raise InconsistencyError("chain", rule, link, t_a[1], stale)
+    elif t_a[1] > b:
+        raise InconsistencyError(
+            "chain", rule, link, t_a[1],
+            "failure round beyond what relays could carry")
+
+
 def verify_msg_chain(ctx: MergeContext):
     """Check a received table against the legal relay histories (claims 1-7).
 
@@ -104,13 +125,11 @@ def verify_msg_chain(ctx: MergeContext):
 
     connected: set = set()
     x_round: dict = {}   # disconnected peer -> earliest failure round of the direct link
-    r_count = 0
     for p in range(1, n + 1):
         if p == j:
             continue
         link = link_of(j, p)
-        entry = recv.get(link)
-        t_a = entry[0] if entry is not None else None
+        t_a = _report(recv, link)
         if t_a is None:
             raise InconsistencyError(
                 "chain", "claim1", link, m, "direct-link state unknown")
@@ -122,80 +141,50 @@ def verify_msg_chain(ctx: MergeContext):
                 raise InconsistencyError(
                     "chain", "claim1", link, m, "direct-link round-m state unknown")
             connected.add(p)
-            r_count += 1
         else:
             x_round[p] = t_a[1]
-    if r_count < n - t - 1:
+    if len(connected) < n - t - 1:
         raise InconsistencyError(
             "chain", "claim1", None, m,
-            f"only {r_count} correct direct links, need {n - t - 1}")
+            f"only {len(connected)} correct direct links, need {n - t - 1}")
 
     for k in range(1, n):
         for p in range(k + 1, n + 1):
             if k == j or p == j:
                 continue
             link = (k, p)
-            entry = recv.get(link)
-            t_a = entry[0] if entry is not None else None
+            t_a = _report(recv, link)
             k_conn = k in connected
             p_conn = p in connected
             if k_conn or p_conn:
                 # Claim 5: known at m-1, unknown from m on.
-                if t_a is None:
-                    if m - 1 >= 1:
-                        raise InconsistencyError(
-                            "chain", "claim5", link, m - 1,
-                            "link of a connected agent unknown at the previous round")
-                elif t_a[0] == R:
-                    if t_a[1] != m - 1:
-                        raise InconsistencyError(
-                            "chain", "claim5", link, t_a[1],
-                            "connected-agent link must be reported for the previous round")
-                elif t_a[1] > m - 1:
-                    raise InconsistencyError(
-                        "chain", "claim5", link, t_a[1],
-                        "failure round beyond what relays could carry")
-                if k_conn != p_conn and t_a is not None:
-                    dis_end = p if k_conn else k
+                _require_exact(
+                    t_a, m - 1, "claim5", link,
+                    "link of a connected agent unknown at the previous round",
+                    "connected-agent link must be reported for the previous round")
+                if k_conn == p_conn or t_a is None:
+                    continue
+                # The disconnected end's links to the other disconnected
+                # peers. Claim 6: it was alive at m-1, so they must be known
+                # through m-2 and no further. Claim 7: the link failed at m',
+                # and the end was reachable until then, so they must be
+                # known through m'-2.
+                dis_end = p if k_conn else k
+                m_prime = t_a[1]
+                for q in x_round:
+                    if q == dis_end:
+                        continue
+                    l2 = link_of(dis_end, q)
+                    t2 = _report(recv, l2)
                     if t_a[0] == R:
-                        # Claim 6: the disconnected end was alive at m-1, so its
-                        # other links must be known through m-2 and no further.
-                        for q in x_round:
-                            if q == dis_end:
-                                continue
-                            l2 = link_of(dis_end, q)
-                            e2 = recv.get(l2)
-                            t2 = e2[0] if e2 is not None else None
-                            if t2 is None:
-                                if m - 2 >= 1:
-                                    raise InconsistencyError(
-                                        "chain", "claim6", l2, m - 2,
-                                        "link of a recently alive agent unknown")
-                            elif t2[0] == R:
-                                if t2[1] != m - 2:
-                                    raise InconsistencyError(
-                                        "chain", "claim6", l2, t2[1],
-                                        "round must be exactly two behind")
-                            elif t2[1] > m - 2:
-                                raise InconsistencyError(
-                                    "chain", "claim6", l2, t2[1],
-                                    "failure round beyond what relays could carry")
-                    else:
-                        # Claim 7: the link failed at m'; the disconnected end
-                        # was reachable until then, so its other links must be
-                        # known through m'-2.
-                        m_prime = t_a[1]
-                        if m_prime - 2 >= 1:
-                            for q in x_round:
-                                if q == dis_end:
-                                    continue
-                                l2 = link_of(dis_end, q)
-                                e2 = recv.get(l2)
-                                t2 = e2[0] if e2 is not None else None
-                                if not _knows_round(t2, m_prime - 2):
-                                    raise InconsistencyError(
-                                        "chain", "claim7", l2, m_prime - 2,
-                                        "state implied reachable is unknown")
+                        _require_exact(
+                            t2, m - 2, "claim6", l2,
+                            "link of a recently alive agent unknown",
+                            "round must be exactly two behind")
+                    elif m_prime - 2 >= 1 and not _knows_round(t2, m_prime - 2):
+                        raise InconsistencyError(
+                            "chain", "claim7", l2, m_prime - 2,
+                            "state implied reachable is unknown")
             else:
                 # Both endpoints disconnected.
                 if t_a is not None and t_a[1] > m - 2:

@@ -148,6 +148,10 @@ def test_no_deviation_is_profitable():
                 bad.append((n, t, type_id,
                             f"diff {summary.mean_diff:+.4f} "
                             f"se {summary.se_diff:.4f}"))
+            # a deviation that never acts proves nothing
+            if summary.applied_rate < 0.5:
+                bad.append((n, t, type_id,
+                            f"applied {summary.applied_rate:.3f}"))
             if type_id == 5:
                 guess_stats[n] = (summary.guess_hits, summary.guess_trials)
     for n, (hits, trials) in guess_stats.items():

@@ -110,6 +110,15 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path):
     # round t+4 messages carry no table to lie in
     assert main(base + ["--type", "7", "--param", "round=5"]) == 2
     assert main(base + ["--type", "6", "--param", "round=5"]) == 2
+    # a round the run never has, a parameter the type does not declare, a
+    # value of the wrong type
+    assert main(base + ["--type", "5", "--param", "round=9"]) == 2
+    assert main(base + ["--type", "10", "--param", "round=0"]) == 2
+    assert main(base + ["--type", "1", "--param", "rund=3"]) == 2
+    assert main(base + ["--type", "5", "--param", "guess=no"]) == 2
+    # types 1-3, 8 and 9 take no round, so neither does --type all
+    assert main(base + ["--type", "3", "--param", "round=2"]) == 2
+    assert main(base + ["--type", "all", "--param", "round=2"]) == 2
     # deviate always samples, so only run takes the flag
     assert main(base + ["--type", "10", "--sample-pattern"]) == 2
     pattern = tmp_path / "pattern.jsonl"

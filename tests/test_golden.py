@@ -9,7 +9,10 @@ digest before the study stopped sampling its own run inputs, and the lies
 digests (every type-6 sub-case and type 7 at every round that ships a
 table, which reach the round-relation and merge rules) before the merge
 table checked and merged each case in one dispatch, so a refactor that
-changes what any run computes or records fails here.
+changes what any run computes or records fails here. The fixtures digest
+covers the full error (category, rule, link, round and text) that every
+rule fixture raises on its mutated input, recorded before the message-chain
+bounds were stated once.
 """
 
 import dataclasses
@@ -19,7 +22,9 @@ import pytest
 
 from rucon.cli import write_trace
 from rucon.deviations import DEVIATION_TYPES, make_deviation
+from rucon.errors import InconsistencyError
 from rucon.simulator import RunConfig, deviation_experiment, run
+from rule_fixtures import FIXTURES
 
 HONEST_SEEDS = range(4)
 DEVIATION_SEEDS = range(2)
@@ -40,6 +45,8 @@ GOLDEN = {
         "6363f8f68f0f53cd3d97e81af2b677ec2ba79fd8c1f947bb342d8bd9612c3c2d",
     "lies-7-2":
         "60e352731448336dfe9f608e4b9dc3337720a7b28fcc6aae6ec7f6a25ed4dd9b",
+    "fixtures":
+        "b1f4082489ff8530c463800e64636617687f2c3b6b193e811db2cb620393fa4a",
     "study-5-1":
         "d552e108002f0c88f26e0c0ac4edefc89318d3954fe9f03f2a2a643993fd3807",
 }
@@ -89,8 +96,23 @@ def _study_digest(group):
     return digest.hexdigest()
 
 
+def _fixtures_digest():
+    digest = hashlib.sha256()
+    for name in sorted(FIXTURES):
+        fn, _, _ = FIXTURES[name]
+        with pytest.raises(InconsistencyError) as info:
+            fn(mutate=True)
+        exc = info.value
+        digest.update(repr((name, exc.category, exc.rule, exc.link,
+                            exc.round, str(exc))).encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("group", sorted(GOLDEN))
 def test_golden_corpus(group, tmp_path):
+    if group == "fixtures":
+        assert _fixtures_digest() == GOLDEN[group]
+        return
     if group.startswith("study"):
         assert _study_digest(group) == GOLDEN[group]
         return

@@ -35,12 +35,6 @@ def test_append_hs_idempotent():
     assert hs[((1, 2), 1)] == ((R, 1, 1, 4),)
 
 
-def test_append_hs_rejects_non_endpoint():
-    with pytest.raises(InconsistencyError) as exc:
-        append_hs({}, (1, 2), (R, 1, 3, 0))
-    assert (exc.value.category, exc.value.rule) == ("round", "claim8")
-
-
 def test_append_hs_rejects_third_report():
     hs = {}
     append_hs(hs, (1, 2), (R, 1, 1, 4))

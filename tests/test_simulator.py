@@ -54,7 +54,8 @@ def test_config_validation():
     for dev in (make_deviation(10, agent=9), make_deviation(10, agent=0),
                 make_deviation(5, round="abc"),
                 make_deviation(1, targets=[2, 6]),
-                make_deviation(6, round=5)):
+                make_deviation(6, round=5), make_deviation(5, round=9),
+                make_deviation(1, rund=3), make_deviation(5, guess="no")):
         with pytest.raises(ValueError):
             run(RunConfig(n=5, t=1, seed=0, deviation=dev))
 
