@@ -97,12 +97,16 @@ def init_agent(i: int, n: int, t: int, value: int, rng: random.Random,
     return state
 
 
-def build_message(state: AgentState, r: int, recipient: int) -> dict:
+def build_message(state: AgentState, r: int, recipient: int,
+                  table: dict) -> dict:
+    """The round-r message to one recipient. table is this round's snapshot
+    of state.ns, shared by every recipient so that each receiver's phase 2
+    can reuse one check of it: a caller must copy it before editing it."""
     i, t = state.id, state.t
     msg = {"sender": i, "round": r}
     if r <= t + 3:
         msg["rand"] = state.randoms[(i, r)]
-        msg["ns"] = dict(state.ns)
+        msg["ns"] = table
     if r <= t + 2:
         xrandoms = state.xrandoms
         msg["xr"] = {link: xrandoms[(i, r, link)][recipient]
@@ -122,11 +126,12 @@ def send_phase(state: AgentState, r: int) -> dict:
     """Messages for round r, keyed by recipient. Decided agents send nothing."""
     if state.decision is not UNDECIDED:
         return {}
+    table = dict(state.ns)
     msgs = {}
     for j in range(1, state.n + 1):
         if j == state.id or j in state.lost:
             continue
-        msgs[j] = build_message(state, r, j)
+        msgs[j] = build_message(state, r, j, table)
     return msgs
 
 
@@ -226,14 +231,17 @@ def _finalize(state: AgentState):
     state.consensus.add(elected)
 
 
-def compute_phase(state: AgentState, r: int):
-    """Any inconsistency found in this round's work ends in punishment."""
+def compute_phase(state: AgentState, r: int, checked=None):
+    """Any inconsistency found in this round's work ends in punishment.
+
+    checked is the round's phase-2 memo that verify_and_update shares
+    between receivers, or None to check every table."""
     if state.decision is not UNDECIDED:
         return
     t = state.t
     if r <= t + 3:
         try:
-            verify_and_update(state, state.pending_ns, r)
+            verify_and_update(state, state.pending_ns, r, checked)
             state.pending_ns = {}
             if r <= t + 2:
                 _gen_randoms(state, r + 1)

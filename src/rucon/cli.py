@@ -199,6 +199,13 @@ def _type_arg(raw: str):
     return raw if raw == "all" else int(raw)
 
 
+def _runs_arg(raw: str) -> int:
+    runs = int(raw)
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {runs}")
+    return runs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rucon",
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="many seeded runs with sampled patterns")
     add_common(p_batch)
-    p_batch.add_argument("--runs", type=int, default=100)
+    p_batch.add_argument("--runs", type=_runs_arg, default=100)
     p_batch.set_defaults(func=cmd_batch)
 
     p_dev = sub.add_parser("deviate", help="paired deviation experiment")
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dev.add_argument("--type", type=_type_arg, required=True,
                        help="deviation type id, or 'all'")
     p_dev.add_argument("--agent", type=int, default=1)
-    p_dev.add_argument("--runs", type=int, default=200)
+    p_dev.add_argument("--runs", type=_runs_arg, default=200)
     p_dev.add_argument("--param", action="append",
                        help="deviation parameter key=value (repeatable)")
     p_dev.set_defaults(func=cmd_deviate)

@@ -207,8 +207,9 @@ class IgnorePeers(Deviation):
         # deviant bent on staying in the game keeps sending to everyone.
         if st.decision is not UNDECIDED:
             return msgs
+        table = dict(st.ns)
         for q in sorted(st.lost):
-            msgs[q] = build_message(st, r, q)
+            msgs[q] = build_message(st, r, q, table)
         return msgs
 
     def after_compute(self, st, r):
@@ -254,13 +255,13 @@ class LinkStateLie(Deviation):
             return msgs
         link, entry = lie
         self.applied = True
-        for j in msgs:
-            ns = dict(msgs[j]["ns"])
-            if entry is None:
-                ns.pop(link, None)
-            else:
-                ns[link] = entry
-            msgs[j]["ns"] = ns
+        ns = dict(st.ns)     # the shipped table is shared: edit a copy
+        if entry is None:
+            ns.pop(link, None)
+        else:
+            ns[link] = entry
+        for msg in msgs.values():
+            msg["ns"] = ns
         return msgs
 
     def _pick(self, st, want_direct, want_kind):

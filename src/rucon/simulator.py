@@ -205,6 +205,9 @@ class Execution:
                                   else self.dev.describe())})
         self.monitor = (InvariantMonitor(n, t, pattern)
                         if config.check_invariants else None)
+        # Round r's phase-2 outcomes, one per shipped table; see
+        # verification.verify_and_update.
+        self.checked = {}
 
     def _emit(self, round_, phase, agent, event, payload):
         if self.sink is not None:
@@ -214,6 +217,7 @@ class Execution:
 
     def exchange(self, r: int):
         """Round r's send, delivery and receive phases."""
+        self.checked = {}
         outboxes = {}
         for i, st in sorted(self.agents.items()):
             msgs = self.strategies[i].mutate_outgoing(st, r, send_phase(st, r))
@@ -236,7 +240,7 @@ class Execution:
         """Round r's compute phase, then the invariant monitor."""
         for i, st in sorted(self.agents.items()):
             before = st.decision
-            compute_phase(st, r)
+            compute_phase(st, r, self.checked)
             self.strategies[i].after_compute(st, r)
             if st.decision is not before and st.decision == BOT:
                 self._emit(r, "compute", i, "inconsistency", _error_payload(st))
@@ -362,6 +366,8 @@ def deviation_experiment(base: RunConfig, make_dev, runs: int) -> ExperimentSumm
     deviating agent. Each run takes the base config's pattern and values
     when given, and otherwise samples them from the seed.
     """
+    if runs < 1:
+        raise ValueError(f"a study needs at least one run, got {runs}")
     diffs, honest_u, dev_u = [], [], []
     detected = 0
     applied = 0

@@ -396,12 +396,20 @@ def evidence_vector(xrandoms: dict, gen: int, round_: int, link) -> tuple:
     return tuple(per_recipient[k] for k in sorted(per_recipient))
 
 
-def verify_and_update(state, received: dict, r: int):
+def verify_and_update(state, received: dict, r: int, checked=None):
     """One round of the full verify-and-update pass for one agent.
 
     state is the checking agent's AgentState; received maps each heard
     sender to its table; r is the current round. Mutates state.ns and
     state.hs in place; raises InconsistencyError on any violation.
+
+    Phase 2 reads only n, t, r, the sender and its table, nothing of the
+    receiver, so every recipient of one shipped table gets the same
+    outcome. checked, when given, is a memo shared by all of round r's
+    receivers: (sender, id(table)) -> (table, None or the first error).
+    It holds the table, so the id cannot be reused within the round. A hit
+    on an error raises a fresh InconsistencyError with the same fields.
+    Without a memo every table is checked.
     """
     n, i = state.n, state.id
     ns, hs = state.ns, state.hs
@@ -426,19 +434,34 @@ def verify_and_update(state, received: dict, r: int):
         ns[link] = (t_a, None)
         append_hs(hs, link, t_a)
 
-    # Phase 2: message-chain verification per sender. A structural sweep
-    # runs first so the chain checks never dereference a malformed report.
+    # Phase 2: message-chain verification per sender, once per shipped
+    # table. A structural sweep runs first so the chain checks never
+    # dereference a malformed report.
+    if checked is None:
+        checked = {}
     contexts = {}
     for j in senders:
+        table = received[j]
         ctx = MergeContext(
             n=n, t=state.t, self_id=i, round=r, ns=ns, hs=hs,
-            sender=j, recv_ns=received[j], randoms=randoms,
+            sender=j, recv_ns=table, randoms=randoms,
             xrandoms=state.xrandoms, conn_history=state.conn_history,
         )
         contexts[j] = ctx
-        for link, recv in ctx.recv_ns.items():
-            check_format(ctx, link, recv)
-        verify_msg_chain(ctx)
+        key = (j, id(table))
+        if key not in checked:
+            try:
+                for link, recv in table.items():
+                    check_format(ctx, link, recv)
+                verify_msg_chain(ctx)
+            except InconsistencyError as exc:
+                checked[key] = (table, exc)
+                raise
+            checked[key] = (table, None)
+        err = checked[key][1]
+        if err is not None:
+            raise InconsistencyError(err.category, err.rule, err.link,
+                                     err.round, err.detail)
 
     # Phase 3: per-link verify and merge, in fixed order. An entry equal in
     # every field to one already processed this round is skipped: verifying

@@ -53,7 +53,7 @@ def test_init_validates_parameters():
 
 def test_round1_message_payload():
     st = init_agent(1, 5, 1, 0, random.Random(1))
-    msg = build_message(st, 1, 2)
+    msg = build_message(st, 1, 2, {})
     assert msg["sender"] == 1 and msg["round"] == 1
     assert set(msg) == {"sender", "round", "rand", "ns", "xr", "q", "b"}
     assert msg["ns"] == {}
@@ -64,7 +64,7 @@ def test_round1_message_payload():
 def test_prefinal_message_forwards_stored_shares():
     _, snap = run_agents(5, 1, seed=3, capture_round=4)
     st = snap[1]
-    msg = build_message(st, 4, 2)                   # round t+3 for t=1
+    msg = build_message(st, 4, 2, dict(st.ns))     # round t+3 for t=1
     assert set(msg) == {"sender", "round", "rand", "ns", "shares"}
     # every stored pair except the recipient's own generation, at our point
     assert set(msg["shares"]) == {1, 3, 4, 5}
@@ -74,7 +74,7 @@ def test_prefinal_message_forwards_stored_shares():
 def test_final_message_carries_consensus():
     st = _fresh()
     st.consensus = {2}
-    msg = build_message(st, 4, 2)
+    msg = build_message(st, 4, 2, dict(st.ns))
     assert msg == {"sender": 1, "round": 4, "consensus": frozenset({2})}
 
 
@@ -83,6 +83,9 @@ def test_send_phase_respects_lost_and_decisions():
     st.lost = {3}
     msgs = send_phase(st, 1)
     assert sorted(msgs) == [2, 4, 5]
+    # one table per round, shared by every recipient
+    assert msgs[2]["ns"] is msgs[4]["ns"] is msgs[5]["ns"]
+    assert msgs[2]["ns"] is not st.ns
     st.decision = NO_DECISION
     assert send_phase(st, 1) == {}
 
@@ -104,7 +107,8 @@ def test_receive_phase_gives_up_past_t():
 
 
 def test_single_loss_tolerated():
-    inbox = {j: build_message(init_agent(j, 5, 1, 0, random.Random(j)), 1, 1)
+    inbox = {j: build_message(init_agent(j, 5, 1, 0, random.Random(j)),
+                              1, 1, {})
              for j in (2, 3, 4)}
     fresh = init_agent(1, 5, 1, 0, random.Random(9))
     receive_phase(fresh, 1, inbox)
@@ -114,7 +118,8 @@ def test_single_loss_tolerated():
 
 def test_malformed_message_means_bot():
     fresh = init_agent(1, 5, 1, 0, random.Random(9))
-    inbox = {j: build_message(init_agent(j, 5, 1, 0, random.Random(j)), 1, 1)
+    inbox = {j: build_message(init_agent(j, 5, 1, 0, random.Random(j)),
+                              1, 1, {})
              for j in (2, 3, 4, 5)}
     inbox[3] = {"sender": 3, "round": 1, "rand": "nope"}
     receive_phase(fresh, 1, inbox)

@@ -66,6 +66,11 @@ def test_batch_honours_values_and_pattern(tmp_path, capsys):
                  "--runs", "2", "--values", "z,z,z,z,z"]) == 2
     assert main(["batch", "--n", "5", "--t", "1", "--seed", "0",
                  "--runs", "2", "--sample-pattern"]) == 2
+    # a batch of no runs is no evidence: refused before any output
+    for runs in ("0", "-2"):
+        assert main(["batch", "--n", "5", "--t", "1", "--seed", "0",
+                     "--runs", runs]) == 2
+    assert capsys.readouterr().out == ""
     pattern = tmp_path / "pattern.jsonl"
     pattern.write_text('{"agent": 5, "kind": "crash", "from_round": 1}\n')
     code = main(["batch", "--n", "5", "--t", "1", "--seed", "0",
@@ -101,8 +106,11 @@ def test_deviate_all_types(capsys):
     assert "verdict: no profitable gain (worst: type" in out
 
 
-def test_deviate_bad_arguments_are_usage_errors(tmp_path):
+def test_deviate_bad_arguments_are_usage_errors(tmp_path, capsys):
     base = ["deviate", "--n", "5", "--t", "1", "--seed", "0", "--runs", "2"]
+    assert main(base + ["--type", "10", "--runs", "0"]) == 2
+    assert main(base + ["--type", "all", "--runs", "-2"]) == 2
+    assert capsys.readouterr().out == ""
     assert main(base + ["--type", "10", "--agent", "9"]) == 2
     assert main(base + ["--type", "5", "--param", "round=abc"]) == 2
     assert main(base + ["--type", "1", "--param", "targets=[9]"]) == 2

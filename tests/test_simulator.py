@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rucon.deviations import make_deviation
-from rucon.simulator import (FailurePattern, RunConfig, deliver, run,
-                             sample_blind_pattern, sample_values)
+from rucon.simulator import (FailurePattern, RunConfig, deliver,
+                             deviation_experiment, run, sample_blind_pattern,
+                             sample_values)
 
 
 def test_fault_free_regression():
@@ -58,6 +59,10 @@ def test_config_validation():
                 make_deviation(1, rund=3), make_deviation(5, guess="no")):
         with pytest.raises(ValueError):
             run(RunConfig(n=5, t=1, seed=0, deviation=dev))
+    for runs in (0, -2):
+        with pytest.raises(ValueError):
+            deviation_experiment(RunConfig(n=5, t=1, seed=0),
+                                 lambda: make_deviation(10), runs)
 
 
 def test_pattern_validation():

@@ -1,14 +1,17 @@
 """Verification rules, the merge case table, and honest completeness."""
 
 import copy
+from collections import Counter
 
 import pytest
 
 from conftest import run_agents
 from rule_fixtures import FIXTURES
+from rucon import verification
+from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
-from rucon.simulator import RunConfig, run
+from rucon.simulator import Execution, RunConfig, run
 from rucon.verification import (MergeContext, merge_state, register_random,
                                 register_xrandom, verify_and_update,
                                 verify_msg_chain)
@@ -193,6 +196,68 @@ def test_verify_and_update_flags_tampered_relay(captured_round3):
     with pytest.raises(InconsistencyError) as exc:
         verify_and_update(st, st.pending_ns, 3)
     assert exc.value.category in ("random", "source")
+
+
+# --- the per-round phase-2 memo ----------------------------------------------
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+@pytest.mark.parametrize("type_id", [None] + sorted(DEVIATION_TYPES))
+def test_shipped_tables_are_never_edited(n, t, type_id):
+    # A memo hit trusts that a table still holds what was checked, so no
+    # compute phase or deviation hook may edit a shipped table in place.
+    for seed in range(2):
+        dev = (None if type_id is None
+               else make_deviation(type_id, agent=1, seed=seed))
+        ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                                 deviation=dev, check_invariants=False))
+        for r in ex.rounds:
+            ex.exchange(r)
+            shipped = [(table, copy.deepcopy(table))
+                       for st in ex.agents.values()
+                       for table in st.pending_ns.values()]
+            ex.compute(r)
+            for table, frozen in shipped:
+                assert table == frozen, (type_id, seed, r)
+
+
+@pytest.fixture
+def chain_walks(monkeypatch):
+    """verify_msg_chain calls, counted by (sender, round)."""
+    calls = Counter()
+    real = verification.verify_msg_chain
+
+    def counted(ctx):
+        calls[(ctx.sender, ctx.round)] += 1
+        return real(ctx)
+    monkeypatch.setattr(verification, "verify_msg_chain", counted)
+    return calls
+
+
+def test_memo_hit_raises_a_fresh_equal_error(captured_round3, chain_walks):
+    first, second = (copy.deepcopy(captured_round3[1]) for _ in range(2))
+    bad = dict(first.pending_ns[2])
+    del bad[(1, 2)]                 # the sender's own direct link
+    first.pending_ns[2] = second.pending_ns[2] = bad
+    checked = {}
+    errors = []
+    for st in (first, second):
+        with pytest.raises(InconsistencyError) as exc:
+            verify_and_update(st, st.pending_ns, 3, checked)
+        errors.append(exc.value)
+    a, b = errors
+    assert (a.category, a.rule) == ("chain", "claim1")
+    assert ((b.category, b.rule, b.link, b.round, str(b))
+            == (a.category, a.rule, a.link, a.round, str(a)))
+    assert b is not a
+    assert chain_walks == {(2, 3): 1}   # the second agent hit the memo
+
+
+def test_memo_checks_each_table_once(chain_walks):
+    n, t = 7, 2
+    res = run(RunConfig(n=n, t=t, seed=0, check_invariants=False))
+    assert "bot" not in res.decisions.values()
+    assert set(chain_walks.values()) == {1}
+    assert sum(chain_walks.values()) <= n * (t + 3)
 
 
 def test_honest_completeness_sampled_patterns():
