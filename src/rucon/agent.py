@@ -234,8 +234,8 @@ def _finalize(state: AgentState):
 def compute_phase(state: AgentState, r: int, checked=None):
     """Any inconsistency found in this round's work ends in punishment.
 
-    checked is the round's phase-2 memo that verify_and_update shares
-    between receivers, or None to check every table."""
+    checked is the round's RoundMemo that verify_and_update shares
+    between receivers, or None to check and plan every table."""
     if state.decision is not UNDECIDED:
         return
     t = state.t

@@ -65,8 +65,11 @@ def _build_config(args) -> RunConfig:
     utilities = tuple(float(x) for x in args.utilities.split(","))
     if len(utilities) != 3:
         raise ValueError("utilities must be three comma-separated numbers")
-    return RunConfig(n=args.n, t=args.t, seed=args.seed, values=values,
-                     value_domain=domain, pattern=pattern, utilities=utilities)
+    config = RunConfig(n=args.n, t=args.t, seed=args.seed, values=values,
+                       value_domain=domain, pattern=pattern,
+                       utilities=utilities)
+    config.validate()   # before any command prints a line
+    return config
 
 
 def _print_result(res, out):

@@ -17,6 +17,7 @@ from .agent import (BOT, NO_DECISION, UNDECIDED, compute_phase, init_agent,
                     receive_phase, send_phase)
 from .deviations import Deviation
 from .invariants import InvariantMonitor
+from .verification import RoundMemo
 
 INF = float("inf")
 
@@ -102,6 +103,8 @@ class RunConfig:
     trace: object = None           # list-like sink for trace records
 
     def validate(self):
+        if self.t < 0:
+            raise ValueError(f"t must be at least 0, got t={self.t}")
         if not (self.n >= 3 and self.n > 2 * self.t + 1):
             raise ValueError(f"need n>2t+1 and n>=3, got n={self.n}, t={self.t}")
         b0, b1, b2 = self.utilities
@@ -205,9 +208,11 @@ class Execution:
                                   else self.dev.describe())})
         self.monitor = (InvariantMonitor(n, t, pattern)
                         if config.check_invariants else None)
-        # Round r's phase-2 outcomes, one per shipped table; see
+        # Round r's phase-2 outcome and phase-3 plan of each shipped table,
+        # and the round's intern map of table entries. None of it depends on
+        # the receiver, so every receiver shares it; see
         # verification.verify_and_update.
-        self.checked = {}
+        self.checked = RoundMemo()
 
     def _emit(self, round_, phase, agent, event, payload):
         if self.sink is not None:
@@ -217,7 +222,7 @@ class Execution:
 
     def exchange(self, r: int):
         """Round r's send, delivery and receive phases."""
-        self.checked = {}
+        self.checked = RoundMemo()
         outboxes = {}
         for i, st in sorted(self.agents.items()):
             msgs = self.strategies[i].mutate_outgoing(st, r, send_phase(st, r))

@@ -396,6 +396,27 @@ def evidence_vector(xrandoms: dict, gen: int, round_: int, link) -> tuple:
     return tuple(per_recipient[k] for k in sorted(per_recipient))
 
 
+class RoundMemo:
+    """What round r's receivers share about the tables shipped to them.
+
+    tables maps (sender, id(table)) to (table, None or the first phase-2
+    error, plan). It holds the table, so the id cannot be reused within the
+    round. A table that passed phase 2 has a plan: its entries as
+    (link, recv, uid) in sorted(table.items()) order. ids interns each
+    distinct (link, recv) value once per round as a small int uid, so equal
+    entries of different tables share one uid and distinct ones never do.
+    """
+
+    def __init__(self):
+        self.tables = {}
+        self.ids = {}
+
+    def plan(self, table: dict) -> list:
+        ids = self.ids
+        return [(link, recv, ids.setdefault((link, recv), len(ids)))
+                for link, recv in sorted(table.items())]
+
+
 def verify_and_update(state, received: dict, r: int, checked=None):
     """One round of the full verify-and-update pass for one agent.
 
@@ -405,11 +426,12 @@ def verify_and_update(state, received: dict, r: int, checked=None):
 
     Phase 2 reads only n, t, r, the sender and its table, nothing of the
     receiver, so every recipient of one shipped table gets the same
-    outcome. checked, when given, is a memo shared by all of round r's
-    receivers: (sender, id(table)) -> (table, None or the first error).
-    It holds the table, so the id cannot be reused within the round. A hit
-    on an error raises a fresh InconsistencyError with the same fields.
-    Without a memo every table is checked.
+    outcome. So does phase 3's plan: a table's sort order and the value
+    equality of its entries read only the table. checked, when given, is
+    the RoundMemo shared by all of round r's receivers; each shipped table
+    is checked and planned once, and a hit on an error raises a fresh
+    InconsistencyError with the same fields. Without one, the call uses a
+    private memo, so every table is checked.
     """
     n, i = state.n, state.id
     ns, hs = state.ns, state.hs
@@ -437,9 +459,8 @@ def verify_and_update(state, received: dict, r: int, checked=None):
     # Phase 2: message-chain verification per sender, once per shipped
     # table. A structural sweep runs first so the chain checks never
     # dereference a malformed report.
-    if checked is None:
-        checked = {}
-    contexts = {}
+    memo = RoundMemo() if checked is None else checked
+    work = []
     for j in senders:
         table = received[j]
         ctx = MergeContext(
@@ -447,33 +468,38 @@ def verify_and_update(state, received: dict, r: int, checked=None):
             sender=j, recv_ns=table, randoms=randoms,
             xrandoms=state.xrandoms, conn_history=state.conn_history,
         )
-        contexts[j] = ctx
         key = (j, id(table))
-        if key not in checked:
+        entry = memo.tables.get(key)
+        if entry is None:
             try:
                 for link, recv in table.items():
                     check_format(ctx, link, recv)
                 verify_msg_chain(ctx)
             except InconsistencyError as exc:
-                checked[key] = (table, exc)
+                memo.tables[key] = (table, exc, None)
                 raise
-            checked[key] = (table, None)
-        err = checked[key][1]
+            entry = memo.tables[key] = (table, None, memo.plan(table))
+        err = entry[1]
         if err is not None:
             raise InconsistencyError(err.category, err.rule, err.link,
                                      err.round, err.detail)
+        work.append((ctx, entry[2]))
 
-    # Phase 3: per-link verify and merge, in fixed order. An entry equal in
-    # every field to one already processed this round is skipped: verifying
-    # and merging it again is a no-op (append is idempotent, adopt would
-    # rewrite the same state), so only distinct reports cost anything.
-    seen = set()
-    for j in senders:
-        ctx = contexts[j]
-        for link, recv in sorted(received[j].items()):
-            key = (link, recv)
-            if key in seen:
+    # Phase 3: per-link verify and merge, senders ascending and each table
+    # in link order. An entry equal in every field to one already processed
+    # this round (same uid) is skipped. Its sender-independent checks
+    # (claims 8 and 13, the randoms) passed at its first occurrence, and
+    # merging it again would change no table. The skip is not a pure no-op,
+    # though. Claim 14 reads the sender's own table, so a later sender of
+    # the same entry is never claim-14 checked, and whether a lie is caught
+    # can depend on sender order. And merge_state checks the entry's round
+    # relations only against the local entry as it stood at the first
+    # occurrence.
+    done = set()
+    for ctx, plan in work:
+        for link, recv, uid in plan:
+            if uid in done:
                 continue
             verify_state(ctx, link, recv)
             merge_state(ctx, link, recv)
-            seen.add(key)
+            done.add(uid)

@@ -17,6 +17,17 @@ def test_run_invalid_parameters():
     assert main(["run", "--n", "4", "--t", "2", "--seed", "1"]) == 2
 
 
+def test_negative_t_is_usage_error(capsys):
+    common = ["--n", "5", "--t", "-1", "--seed", "0"]
+    for argv in (["run"] + common, ["run", "--sample-pattern"] + common,
+                 ["batch", "--runs", "2"] + common,
+                 ["deviate", "--type", "10", "--runs", "2"] + common):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "t must be at least 0" in captured.err, argv
+
+
 def test_run_validity(capsys):
     code = main(["run", "--n", "3", "--t", "0", "--seed", "1",
                  "--values", "a,b,c"])

@@ -52,6 +52,8 @@ def test_config_validation():
         run(RunConfig(n=5, t=1, seed=0, values=["a", "b"]))
     with pytest.raises(ValueError):
         run(RunConfig(n=5, t=1, seed=0, values=["z"] * 5))
+    with pytest.raises(ValueError, match="t must be at least 0"):
+        run(RunConfig(n=5, t=-1, seed=0))
     for dev in (make_deviation(10, agent=9), make_deviation(10, agent=0),
                 make_deviation(5, round="abc"),
                 make_deviation(1, targets=[2, 6]),

@@ -1,20 +1,23 @@
 """Verification rules, the merge case table, and honest completeness."""
 
 import copy
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from conftest import run_agents
 from rule_fixtures import FIXTURES
-from rucon import verification
+from rucon import simulator, verification
+from rucon.agent import UNDECIDED
+from rucon.cli import write_trace
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
 from rucon.simulator import Execution, RunConfig, run
-from rucon.verification import (MergeContext, merge_state, register_random,
-                                register_xrandom, verify_and_update,
-                                verify_msg_chain)
+from rucon.verification import (MergeContext, RoundMemo, merge_state,
+                                register_random, register_xrandom,
+                                verify_and_update, verify_msg_chain)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -238,7 +241,7 @@ def test_memo_hit_raises_a_fresh_equal_error(captured_round3, chain_walks):
     bad = dict(first.pending_ns[2])
     del bad[(1, 2)]                 # the sender's own direct link
     first.pending_ns[2] = second.pending_ns[2] = bad
-    checked = {}
+    checked = RoundMemo()
     errors = []
     for st in (first, second):
         with pytest.raises(InconsistencyError) as exc:
@@ -258,6 +261,65 @@ def test_memo_checks_each_table_once(chain_walks):
     assert "bot" not in res.decisions.values()
     assert set(chain_walks.values()) == {1}
     assert sum(chain_walks.values()) <= n * (t + 3)
+
+
+def test_memo_plans_each_passed_table_once():
+    ex = Execution(RunConfig(n=7, t=2, seed=0, sample_pattern=True,
+                             check_invariants=False))
+    for r in ex.rounds:
+        ex.exchange(r)
+        shipped = {(j, id(table)): table
+                   for st in ex.agents.values()
+                   if st.decision is UNDECIDED and r <= ex.config.t + 3
+                   for j, table in st.pending_ns.items()}
+        ex.compute(r)
+        memo = ex.checked
+        assert memo.tables.keys() == shipped.keys(), r
+        uids = {}
+        for key, (table, err, plan) in memo.tables.items():
+            assert table is shipped[key] and err is None
+            assert [(link, recv) for link, recv, _ in plan] == sorted(
+                table.items())
+            for link, recv, uid in plan:
+                assert uids.setdefault((link, recv), uid) == uid
+        assert len(set(uids.values())) == len(uids), r
+
+
+def _result_fields(res):
+    return {f.name: getattr(res, f.name)
+            for f in dataclasses.fields(res) if f.name != "config"}
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+def test_memo_is_transparent(n, t, monkeypatch, tmp_path):
+    # Sharing phase 2 and the phase-3 plans between receivers changes
+    # nothing a run computes or records: every compute phase given no memo
+    # checks and plans each table itself, with the same trace and result.
+    def configs():
+        for type_id in [None] + sorted(DEVIATION_TYPES):
+            for seed in range(2):
+                dev = (None if type_id is None
+                       else make_deviation(type_id, agent=1, seed=seed))
+                yield RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                                deviation=dev, trace=[])
+
+    def traced(tag):
+        out = []
+        for k, config in enumerate(configs()):
+            res = run(config)
+            path = tmp_path / f"{tag}-{k}.jsonl"
+            write_trace(str(path), config.trace)
+            out.append((path.read_bytes(), _result_fields(res)))
+        return out
+
+    shared = traced("shared")
+    real = simulator.compute_phase
+    monkeypatch.setattr(simulator, "compute_phase",
+                        lambda state, r, checked=None: real(state, r))
+    private = traced("private")
+    assert len(private) == len(shared) == 22
+    for k, (a, b) in enumerate(zip(shared, private)):
+        assert a == b, k
 
 
 def test_honest_completeness_sampled_patterns():
