@@ -209,8 +209,8 @@ def _finalize(state: AgentState):
     Raises ProtocolViolationError on a history without a decision round and
     ShareInconsistencyError on shares that lie on no common line.
     """
-    last_update(state.hs, state.ns, state.t + 3)
-    timeline = decision_mod.status_timeline(state.hs, state.n, state.t)
+    timeline = decision_mod.status_timeline(
+        last_update(state.ns, state.hs, state.t + 3), state.n, state.t)
     m_star = decision_mod.decision_round(timeline, state.t)
     d_set = decision_mod.decision_set(timeline, m_star, state.n)
     state.m_star, state.d_set = m_star, d_set

@@ -152,15 +152,19 @@ def cmd_deviate(args, out=None) -> int:
     types = sorted(DEVIATION_TYPES) if args.type == "all" else [args.type]
     base = _build_config(args)
     params = _parse_params(args.param)
+
+    def make(tid):
+        return make_deviation(tid, agent=args.agent, seed=args.seed, **params)
+
+    for tid in types:   # reject the agent and parameters before any line
+        dev = make(tid)
+        replace(base, deviation=dev).validate()
+        dev.bind(base.n, base.t, len(base.value_domain))
     print(f"n={base.n} t={base.t} runs={args.runs} deviant={args.agent}",
           file=out)
     summaries = []
     for tid in types:
-        summary = deviation_experiment(
-            base,
-            lambda: make_deviation(tid, agent=args.agent, seed=args.seed,
-                                   **params),
-            args.runs)
+        summary = deviation_experiment(base, lambda: make(tid), args.runs)
         summaries.append(summary)
         print(_summary_line(summary), file=out)
     worst = max(summaries, key=lambda s: s.mean_diff - 2 * s.se_diff)

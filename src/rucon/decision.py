@@ -1,18 +1,19 @@
 """Status classification and the final value election.
 
 After the last exchange round every agent holds the same link history, so
-the functions here are pure: given a history they name which agents count
-as faulty per round, pick the decision round (the latest round known to be
-fault-quiet), the decision set, and finally the elected value.
+the functions here are pure: given the settled history of
+links.last_update they name which agents count as faulty per round, pick
+the decision round (the latest round known to be fault-quiet), the
+decision set, and finally the elected value.
 """
 
 from __future__ import annotations
 
 from .errors import ProtocolViolationError
-from .links import FAULTY, classify, link_of
+from .links import X, link_of
 
 
-def agent_status(hs: dict, r: int, n: int, t: int, removed=()):
+def agent_status(settled: dict, r: int, n: int, t: int, removed=()):
     """Classify every agent at round r, starting from already-removed ones.
 
     An agent is faulty when, among the peers not yet removed, fewer than
@@ -34,7 +35,7 @@ def agent_status(hs: dict, r: int, n: int, t: int, removed=()):
             for q in range(1, n + 1):
                 if q == a or q in removed:
                     continue
-                if classify(hs, link_of(a, q), r) != FAULTY:
+                if settled.get((link_of(a, q), r)) != X:
                     good += 1
             if good < n - t - 1 - len(removed):
                 removed.add(a)
@@ -44,13 +45,13 @@ def agent_status(hs: dict, r: int, n: int, t: int, removed=()):
     return newly, removed
 
 
-def status_timeline(hs: dict, n: int, t: int):
+def status_timeline(settled: dict, n: int, t: int):
     """(newly faulty, removed so far) per round 1..t+3; removal carries
     forward, and each round holds its own removed set."""
     removed: set = set()
     timeline = {}
     for r in range(1, t + 4):
-        newly, removed = agent_status(hs, r, n, t, removed)
+        newly, removed = agent_status(settled, r, n, t, removed)
         timeline[r] = (newly, removed)
     return timeline
 

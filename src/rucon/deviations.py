@@ -62,6 +62,8 @@ class Deviation:
         if "round" in self.defaults and not 1 <= self.round <= last:
             raise ValueError(f"deviation round must be in 1..{last}, "
                              f"got {self.round}")
+        if "case" in self.defaults and not 1 <= self.case <= 8:
+            raise ValueError(f"lie sub-case must be in 1..8, got {self.case}")
         if "targets" in self.params and (
                 not isinstance(self.targets, (list, tuple)) or any(
                     type(j) is not int or not 1 <= j <= n
@@ -338,7 +340,6 @@ class LinkStateLie(Deviation):
             bits = list(ta[3])
             bits[0] ^= 1
             return link, ((X, ta[1], ta[2], tuple(bits)), tb)
-        raise ValueError(f"unknown lie sub-case {case}")
 
 
 class WrongRandomRelay(LinkStateLie):

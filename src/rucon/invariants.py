@@ -8,7 +8,7 @@ observational: the monitor never feeds anything back into the protocol.
 
 from __future__ import annotations
 
-from .links import R, X, classify, link_of
+from .links import last_update, link_of
 from . import decision as decision_mod
 
 
@@ -52,17 +52,6 @@ def risk_count(pattern, agents: dict, r: int) -> int:
     return count
 
 
-def view(state, link, r: int) -> str:
-    """One agent's opinion of a link's status at round r: 'R', 'X' or 'O'."""
-    entry = state.ns.get(link)
-    if entry is not None and entry[0][0] == X and entry[0][1] <= r:
-        return X
-    reports = state.hs.get((link, r))
-    if reports:
-        return X if any(ta[0] == X for ta in reports) else R
-    return "O"
-
-
 class InvariantMonitor:
     """Collects per-round evidence and renders a pass/fail report."""
 
@@ -77,9 +66,11 @@ class InvariantMonitor:
 
     def _check_views(self, agents, source_round, check_round, bound):
         faulty = self.faulty_by_round[check_round]
-        observers = [st for a, st in sorted(agents.items()) if a not in faulty]
+        # each observer's opinion of a link: 'R', 'X' or 'O' for unknown
+        views = [last_update(st.ns, st.hs, source_round)
+                 for a, st in sorted(agents.items()) if a not in faulty]
         for link in self.links:
-            seen = {view(st, link, source_round) for st in observers}
+            seen = {v.get((link, source_round), "O") for v in views}
             if len(seen) > 1:
                 self.failures.append(
                     f"{bound}: round-{source_round} state of {link} still "
@@ -117,7 +108,8 @@ class InvariantMonitor:
             return report
         ref = observers[min(observers)]
 
-        timeline = decision_mod.status_timeline(ref.hs, n, t)
+        timeline = decision_mod.status_timeline(
+            last_update(ref.ns, ref.hs, t + 3), n, t)
         cleans = decision_mod.clean_rounds(timeline)
         density_ok = len([c for c in cleans if c <= t + 2]) >= 2
         detail = ""
@@ -131,15 +123,12 @@ class InvariantMonitor:
         # All still-working agents must judge every link identically for
         # rounds up to the second fault-quiet round. Raw report sets may
         # differ (a report received directly is kept even when it is never
-        # relayed onward), so the comparison is on classifications.
+        # relayed onward), so the comparison is on settled histories.
         horizon = min(cleans[1] if len(cleans) >= 2 else t + 3, t + 3)
         hs_ok, hs_detail = True, ""
-        def class_map(st):
-            return {(link, rr): classify(st.hs, link, rr)
-                    for link in self.links for rr in range(1, horizon + 1)}
-        ref_map = class_map(ref)
+        ref_map = last_update(ref.ns, ref.hs, horizon)
         for a, st in sorted(observers.items()):
-            if class_map(st) != ref_map:
+            if last_update(st.ns, st.hs, horizon) != ref_map:
                 hs_ok = False
                 hs_detail = f"agent {a} judges some link differently through round {horizon}"
                 break

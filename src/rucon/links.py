@@ -9,7 +9,8 @@ two structures:
       earliest failure round.
   HS ("history states"): per (link, round), the set of endpoint reports seen
       for that round. Each round of each link admits at most two reports,
-      one per endpoint.
+      one per endpoint. HS holds only real reports, each admitted by
+      append_hs.
 
 Report tuples are plain tuples for speed:
 
@@ -21,17 +22,13 @@ Report tuples are plain tuples for speed:
   absence / None                       -- unknown state
 
 An unknown state is never stored explicitly: NS simply has no entry and HS
-has no tuples for that (link, round).
+has no tuples for that (link, round). last_update reads both stores into
+the settled history that every later fault-status question asks.
 """
 
 from __future__ import annotations
 
 from .errors import InconsistencyError
-
-# Classification results for a (link, round) query.
-CORRECT = "correct"
-FAULTY = "faulty"
-UNKNOWN = "unknown"
 
 R = "R"
 X = "X"
@@ -79,38 +76,22 @@ def append_hs(hs: dict, link: tuple[int, int], t_a) -> dict:
     return hs
 
 
-def classify(hs: dict, link: tuple[int, int], r: int) -> str:
-    """State of a link at a round: faulty beats correct beats unknown."""
-    if r < 1:
-        raise ValueError(f"round {r} outside the recorded range")
-    entries = hs.get((link, r))
-    if not entries:
-        return UNKNOWN
-    for t_a in entries:
-        if t_a[0] == X:
-            return FAULTY
-    return CORRECT
+def last_update(ns: dict, hs: dict, rounds: int) -> dict:
+    """The settled link history: {(link, r): X or R} for rounds 1..rounds.
 
-
-def last_update(hs: dict, ns: dict, total_rounds: int) -> dict:
-    """Back-fill fault markings from NS into HS for the decision machinery.
-
-    For every link whose latest state is faulty from round m, the link is
-    marked faulty for every round m..total_rounds. Existing reports are kept
-    alongside; classification lets the fault marking dominate. This bypasses
-    the append_hs invariants deliberately: it is a classification-level
-    operation, not a new report.
+    A link whose NS entry is faulty from round m is faulty at every round
+    m..rounds. Any other (link, round) takes its HS reports, a faulty one
+    beating a correct one. An unknown state is absent. Reads ns and hs and
+    writes to neither.
     """
+    settled = {}
+    for key, reports in hs.items():
+        if key[1] <= rounds:
+            # append_hs admits at most two reports per (link, round)
+            faulty = reports[0][0] == X or reports[-1][0] == X
+            settled[key] = X if faulty else R
     for link, (t_a, _src) in ns.items():
-        if t_a[0] != X:
-            continue
-        for r in range(t_a[1], total_rounds + 1):
-            synthetic = (X, r, t_a[2], t_a[3])
-            key = (link, r)
-            existing = hs.get(key)
-            if existing is None:
-                hs[key] = (synthetic,)
-            elif not any(e[0] == X for e in existing):
-                hs[key] = existing + (synthetic,)
-    return hs
-
+        if t_a[0] == X:
+            for r in range(t_a[1], rounds + 1):
+                settled[(link, r)] = X
+    return settled

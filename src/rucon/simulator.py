@@ -119,6 +119,8 @@ class RunConfig:
         if self.deviation is not None and not 1 <= self.deviation.agent <= self.n:
             raise ValueError(f"deviating agent {self.deviation.agent} "
                              f"outside 1..{self.n}")
+        if self.pattern is not None:
+            self.pattern.validate(self.n, self.t)
 
 
 @dataclass
@@ -178,9 +180,9 @@ class Execution:
         n, t, seed = config.n, config.t, config.seed
         pattern = config.pattern
         if pattern is None:
+            # a sampled pattern is valid by construction
             pattern = (sample_blind_pattern(seed, n, t) if config.sample_pattern
                        else FailurePattern())
-        pattern.validate(n, t)
         self.pattern = pattern
         self.values = config.values or sample_values(seed, n, config.value_domain)
         self.domain = list(config.value_domain)

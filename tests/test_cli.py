@@ -121,11 +121,14 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path, capsys):
     base = ["deviate", "--n", "5", "--t", "1", "--seed", "0", "--runs", "2"]
     assert main(base + ["--type", "10", "--runs", "0"]) == 2
     assert main(base + ["--type", "all", "--runs", "-2"]) == 2
-    assert capsys.readouterr().out == ""
     assert main(base + ["--type", "10", "--agent", "9"]) == 2
+    assert main(base + ["--type", "all", "--agent", "9"]) == 2
     assert main(base + ["--type", "5", "--param", "round=abc"]) == 2
     assert main(base + ["--type", "1", "--param", "targets=[9]"]) == 2
     assert main(base + ["--type", "10", "--values", "z,z,z,z,z"]) == 2
+    # type 6 has eight lie sub-cases
+    assert main(base + ["--type", "6", "--param", "case=9"]) == 2
+    assert main(base + ["--type", "6", "--param", "case=0"]) == 2
     # round t+4 messages carry no table to lie in
     assert main(base + ["--type", "7", "--param", "round=5"]) == 2
     assert main(base + ["--type", "6", "--param", "round=5"]) == 2
@@ -144,6 +147,8 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path, capsys):
     pattern.write_text('{"agent": 4, "kind": "crash", "from_round": 1}\n'
                        '{"agent": 5, "kind": "crash", "from_round": 1}\n')
     assert main(base + ["--type", "10", "--pattern", str(pattern)]) == 2
+    # each is rejected before the header line
+    assert capsys.readouterr().out == ""
 
 
 def test_deviate_honours_values(capsys):

@@ -9,21 +9,18 @@ from rucon.errors import ProtocolViolationError
 from rucon.links import X, link_of
 
 
-def _mark_faulty(hs, agent, peers, rounds, n=5):
-    """Back-filled fault markings for one agent's links, as after a run."""
+def _mark_faulty(settled, agent, peers, rounds):
+    """Settled fault markings for one agent's links, as after a run."""
     for q in peers:
-        link = link_of(agent, q)
         for r in rounds:
-            bits = (0,) * (n - 1)
-            key = (link, r)
-            hs[key] = hs.get(key, ()) + ((X, r, agent, bits),)
+            settled[(link_of(agent, q), r)] = X
 
 
 def test_agent_status_threshold():
     # two faulty links leave agent 3 with 2 < n-t-1 = 3 correct ones
-    hs = {}
-    _mark_faulty(hs, 3, [1, 2], [1])
-    newly, removed = agent_status(hs, 1, n=5, t=1)
+    settled = {}
+    _mark_faulty(settled, 3, [1, 2], [1])
+    newly, removed = agent_status(settled, 1, n=5, t=1)
     assert newly == removed == {3}
 
 
@@ -35,9 +32,9 @@ def test_agent_status_fault_free():
 def test_agent_status_excludes_removed_peers():
     # agent 3's only faulty link goes to the already-removed agent 4,
     # which no longer counts against it
-    hs = {}
-    _mark_faulty(hs, 3, [4], [1])
-    newly, removed = agent_status(hs, 1, n=5, t=1, removed={4})
+    settled = {}
+    _mark_faulty(settled, 3, [4], [1])
+    newly, removed = agent_status(settled, 1, n=5, t=1, removed={4})
     assert removed == {4}
     assert not newly
 
@@ -58,10 +55,10 @@ def test_decision_round_fault_free():
 def test_decision_round_alternating_faults():
     # counts [1,0,1,0] over rounds 1..4 (n=7,t=2 would give more range;
     # n=5,t=1 spans rounds 1..4): quiet rounds are 2 and 4, so m*=1
-    hs = {}
-    _mark_faulty(hs, 4, [1, 2], range(1, 5))
-    _mark_faulty(hs, 5, [1, 2], range(3, 5))
-    timeline = status_timeline(hs, n=5, t=1)
+    settled = {}
+    _mark_faulty(settled, 4, [1, 2], range(1, 5))
+    _mark_faulty(settled, 5, [1, 2], range(3, 5))
+    timeline = status_timeline(settled, n=5, t=1)
     assert [len(timeline[r][0]) for r in range(1, 5)] == [1, 0, 1, 0]
     assert decision_round(timeline, t=1) == 1
 
@@ -69,9 +66,9 @@ def test_decision_round_alternating_faults():
 def test_decision_round_skips_round_zero():
     # counts [0,1,0,0]: round 1 is quiet but "round 0" is not a decision
     # round, so the next quiet round (3) fixes m*=2
-    hs = {}
-    _mark_faulty(hs, 5, [1, 2], range(2, 5))
-    timeline = status_timeline(hs, n=5, t=1)
+    settled = {}
+    _mark_faulty(settled, 5, [1, 2], range(2, 5))
+    timeline = status_timeline(settled, n=5, t=1)
     assert [len(timeline[r][0]) for r in range(1, 5)] == [0, 1, 0, 0]
     assert decision_round(timeline, t=1) == 2
 
@@ -94,9 +91,9 @@ def test_decision_set_fault_free():
 
 
 def test_decision_set_excludes_faulty():
-    hs = {}
-    _mark_faulty(hs, 4, [1, 2], range(1, 5))
-    timeline = status_timeline(hs, n=5, t=1)
+    settled = {}
+    _mark_faulty(settled, 4, [1, 2], range(1, 5))
+    timeline = status_timeline(settled, n=5, t=1)
     m_star = decision_round(timeline, t=1)
     assert decision_set(timeline, m_star, n=5) == [1, 2, 3, 5]
 

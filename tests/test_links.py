@@ -1,11 +1,10 @@
-"""Link ids, history bookkeeping, classification, and the final back-fill."""
+"""Link ids, history bookkeeping, and the settled link history."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rucon.errors import InconsistencyError
-from rucon.links import (CORRECT, FAULTY, R, UNKNOWN, X, append_hs, classify,
-                         last_update, link_of)
+from rucon.links import R, X, append_hs, last_update, link_of
 from conftest import run_agents
 from rucon.simulator import FailurePattern
 
@@ -50,83 +49,128 @@ def test_append_hs_rejects_none():
 
 
 def test_classify():
+    # the settled history reads HS alone when NS marks no failure: a
+    # faulty report beats a correct one, and unknown is absent
     hs = {}
     append_hs(hs, (1, 2), (R, 1, 1, 4))
     append_hs(hs, (1, 2), (X, 1, 2, (0, 1)))
-    assert classify(hs, (1, 2), 1) == FAULTY
+    assert last_update({}, hs, 1)[((1, 2), 1)] == X
     hs2 = {}
     append_hs(hs2, (1, 2), (R, 1, 1, 4))
-    assert classify(hs2, (1, 2), 1) == CORRECT
-    assert classify({}, (1, 2), 1) == UNKNOWN
-    with pytest.raises(ValueError):
-        classify({}, (1, 2), 0)
+    assert last_update({}, hs2, 1)[((1, 2), 1)] == R
+    assert ((1, 2), 1) not in last_update({}, {}, 1)
+    # the history starts at round 1
+    assert last_update({(1, 2): ((X, 1, 1, (0, 1)), None)}, hs, 0) == {}
 
 
 def test_last_update_backfills_fault():
     # t=1, so the history spans rounds 1..4; a failure from round 2 marks
     # the link faulty for rounds 2, 3 and 4.
-    hs = {}
     ns = {(1, 3): ((X, 2, 1, (0, 1)), None)}
-    last_update(hs, ns, total_rounds=4)
-    assert classify(hs, (1, 3), 1) == UNKNOWN
+    settled = last_update(ns, {}, rounds=4)
+    assert ((1, 3), 1) not in settled
     for r in (2, 3, 4):
-        assert classify(hs, (1, 3), r) == FAULTY
+        assert settled[((1, 3), r)] == X
 
 
 def test_last_update_ignores_correct_links():
     hs = {((1, 2), 1): ((R, 1, 1, 0),)}
     ns = {(1, 2): ((R, 3, 1, 2), None)}
-    last_update(dict(hs), ns, 4)
-    assert classify(hs, (1, 2), 2) == UNKNOWN
+    settled = last_update(ns, hs, 4)
+    assert ((1, 2), 2) not in settled
+    # a correct NS entry settles nothing: only the HS report counts
+    assert settled == {((1, 2), 1): R}
 
 
 def test_last_update_boundary_round():
-    hs = {}
     ns = {(1, 3): ((X, 4, 1, (0, 1)), None)}
-    last_update(hs, ns, total_rounds=4)
-    assert classify(hs, (1, 3), 3) == UNKNOWN
-    assert classify(hs, (1, 3), 4) == FAULTY
+    settled = last_update(ns, {}, rounds=4)
+    assert ((1, 3), 3) not in settled
+    assert settled[((1, 3), 4)] == X
 
 
 def test_last_update_keeps_existing_reports():
     hs = {}
     append_hs(hs, (1, 3), (R, 2, 3, 1))
     ns = {(1, 3): ((X, 2, 1, (0, 1)), None)}
-    last_update(hs, ns, 4)
-    assert classify(hs, (1, 3), 2) == FAULTY     # X dominates
-    assert (R, 2, 3, 1) in hs[((1, 3), 2)]       # retained alongside
+    settled = last_update(ns, hs, 4)
+    assert settled[((1, 3), 2)] == X             # X dominates
+    assert hs == {((1, 3), 2): ((R, 2, 3, 1),)}  # HS keeps only the report
 
 
-def _history_properties(st_agent, t, before_backfill):
+def _history_properties(settled, n, t, before_backfill):
     total = t + 3
-    n = st_agent.n
     for k in range(1, n):
         for p in range(k + 1, n + 1):
             link = (k, p)
             for r in range(1, total + 1):
-                c = classify(st_agent.hs, link, r)
-                if c == FAULTY and not before_backfill:
-                    assert all(classify(st_agent.hs, link, q) == FAULTY
+                c = settled.get((link, r))
+                if c == X and not before_backfill:
+                    assert all(settled.get((link, q)) == X
                                for q in range(r, total + 1))
-                if c == CORRECT:
-                    assert all(classify(st_agent.hs, link, q) != FAULTY
+                if c == R:
+                    assert all(settled.get((link, q)) != X
                                for q in range(1, r))
-                if c == UNKNOWN and before_backfill:
-                    assert all(classify(st_agent.hs, link, q) == UNKNOWN
+                if c is None and before_backfill:
+                    assert all(settled.get((link, q)) is None
                                for q in range(r, total + 1))
 
 
 def test_fault_monotone_and_prefix_properties():
     # Faulty-from-round-m stays faulty; correct never follows faulty;
-    # unknown stays unknown until the final back-fill.
+    # unknown stays unknown in HS alone, before NS back-fills failures.
     pattern = FailurePattern(send_om={(4, 1): 2, (4, 2): 2})
     _, snap = run_agents(5, 1, seed=21, pattern=pattern, capture_round=4)
     for st_agent in snap.values():
         if st_agent.decision is None:
-            _history_properties(st_agent, 1, before_backfill=True)
+            _history_properties(last_update({}, st_agent.hs, 4), 5, 1,
+                                before_backfill=True)
     agents, _ = run_agents(5, 1, seed=21, pattern=pattern)
     for st_agent in agents.values():
-        _history_properties(st_agent, 1, before_backfill=False)
+        _history_properties(last_update(st_agent.ns, st_agent.hs, 4), 5, 1,
+                            before_backfill=False)
+
+
+def _old_rule(ns, hs, rounds):
+    """The rule as it once ran: back-fill NS failures into a copy of HS as
+    synthetic faulty reports, then classify every (link, round)."""
+    hs = dict(hs)
+    for link, (t_a, _src) in ns.items():
+        if t_a[0] != X:
+            continue
+        for r in range(t_a[1], rounds + 1):
+            synthetic = (X, r, t_a[2], t_a[3])
+            existing = hs.get((link, r))
+            if existing is None:
+                hs[(link, r)] = (synthetic,)
+            elif not any(e[0] == X for e in existing):
+                hs[(link, r)] = existing + (synthetic,)
+    settled = {}
+    for link in {key[0] for key in hs} | set(ns):
+        for r in range(1, rounds + 1):
+            entries = hs.get((link, r))
+            if entries:
+                faulty = any(ta[0] == X for ta in entries)
+                settled[(link, r)] = X if faulty else R
+    return settled
+
+
+LINKS = [(1, 2), (1, 3), (2, 3)]
+_report = st.tuples(st.sampled_from([R, X]), st.integers(1, 6),
+                    st.integers(1, 3), st.integers(0, 2))
+
+
+@given(ns=st.dictionaries(st.sampled_from(LINKS),
+                          st.tuples(_report, st.none())),
+       hs=st.dictionaries(st.tuples(st.sampled_from(LINKS),
+                                    st.integers(1, 6)),
+                          st.lists(_report, min_size=1, max_size=2)
+                          .map(tuple)),
+       rounds=st.integers(0, 6))
+def test_last_update_matches_backfill_then_classify(ns, hs, rounds):
+    ns_before, hs_before = dict(ns), dict(hs)
+    assert last_update(ns, hs, rounds) == _old_rule(ns, hs, rounds)
+    assert ns == ns_before and hs == hs_before
 
 
 @given(rand_a=st.integers(0, 4), rand_b=st.integers(0, 4),

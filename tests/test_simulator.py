@@ -58,9 +58,14 @@ def test_config_validation():
                 make_deviation(5, round="abc"),
                 make_deviation(1, targets=[2, 6]),
                 make_deviation(6, round=5), make_deviation(5, round=9),
-                make_deviation(1, rund=3), make_deviation(5, guess="no")):
+                make_deviation(1, rund=3), make_deviation(5, guess="no"),
+                make_deviation(6, case=9), make_deviation(6, case=0)):
         with pytest.raises(ValueError):
             run(RunConfig(n=5, t=1, seed=0, deviation=dev))
+    # a sub-case outside 1..8 is rejected when bound, not when it acts
+    for case in (0, 9):
+        with pytest.raises(ValueError, match="sub-case"):
+            make_deviation(6, case=case).bind(n=5, t=1, domain_size=3)
     for runs in (0, -2):
         with pytest.raises(ValueError):
             deviation_experiment(RunConfig(n=5, t=1, seed=0),

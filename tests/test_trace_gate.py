@@ -1,0 +1,30 @@
+"""The per-layer tracer of perfbench still reaches every layer it requires.
+
+perfbench/layers.py wraps rucon's module-level functions by name; a traced
+function that is renamed, deleted or called past its module attribute gets
+zero calls and fails the benchmark's required-layer gate. This test runs the
+same gate on one checked honest run, so such a change fails here too.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import rucon.simulator as simulator
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_gate_reaches_every_required_layer():
+    layers = _layers()
+    with layers.Tracer() as tracer:
+        simulator.run(simulator.RunConfig(n=5, t=1, seed=0,
+                                          sample_pattern=True))
+    assert tracer.missing("honest-n5-checked") == []
+    assert tracer.restored()
