@@ -48,13 +48,12 @@ class AgentState:
     q_poly: LinearPolynomial
     b_poly: LinearPolynomial
     rng: random.Random
-    lost: set = field(default_factory=set)
+    lost: dict = field(default_factory=dict)         # peer -> first round not heard; never heard again
     ns: dict = field(default_factory=dict)
     hs: dict = field(default_factory=dict)
     shares: dict = field(default_factory=dict)       # generator -> {point -> (q, b)}
     randoms: dict = field(default_factory=dict)      # (agent, round) -> int, own draws too
     xrandoms: dict = field(default_factory=dict)     # (gen, round, link) -> {recipient -> bit}, own draws too
-    conn_history: dict = field(default_factory=dict)
     pending_ns: dict = field(default_factory=dict)   # sender -> its table, this round
     consensus: set = field(default_factory=set)
     decision: object = UNDECIDED
@@ -183,13 +182,12 @@ def receive_phase(state: AgentState, r: int, inbox: dict):
     if state.decision is not UNDECIDED:
         return
     state.pending_ns = {}
-    heard = []
     for j in range(1, state.n + 1):
         if j == state.id or j in state.lost:
             continue
         msg = inbox.get(j)
         if msg is None:
-            state.lost.add(j)
+            state.lost[j] = r
             continue
         try:
             _ingest(state, j, r, msg)
@@ -197,8 +195,6 @@ def receive_phase(state: AgentState, r: int, inbox: dict):
             state.decision = BOT
             state.last_error = exc
             return
-        heard.append(j)
-    state.conn_history[r] = frozenset(heard)
     if len(state.lost) > state.t:
         state.decision = NO_DECISION
 

@@ -185,6 +185,10 @@ def cmd_verify_trace(args, out=None) -> int:
         if meta is None:
             raise ValueError("trace has no config record")
         n, values = meta["payload"]["n"], meta["payload"]["values"]
+        if (type(n) is not int or n < 1 or type(values) is not list
+                or len(values) != n):
+            raise ValueError(
+                f"config needs an integer n >= 1 and n values, got n={n!r}")
         result = next((r for r in records if r.get("event") == "result"), None)
         recorded = result["payload"]["decisions"] if result else {}
         decisions = {i: recorded.get(str(i), "undecided") for i in range(1, n + 1)}

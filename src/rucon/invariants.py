@@ -1,7 +1,7 @@
 """Run-time instrumentation of the knowledge-propagation guarantees.
 
 The monitor watches an honest run from outside: after each round it snapshots
-ground-truth faults from the agents' lost sets and checks that the agents'
+ground-truth faults from the agents' lost maps and checks that the agents'
 views actually converge as fast as the analysis promises. All checks are
 observational: the monitor never feeds anything back into the protocol.
 """
@@ -17,7 +17,7 @@ def all_links(n: int):
 
 
 def broken_pairs(agents: dict):
-    """Links severed so far, judged from the agents' own lost sets."""
+    """Links severed so far, judged from the agents' own lost maps."""
     pairs = set()
     for a, st in agents.items():
         for b in st.lost:

@@ -41,10 +41,17 @@ class FailurePattern:
         agents = self.faulty_agents()
         if len(agents) > t:
             raise ValueError(f"{len(agents)} faulty agents exceed t={t}")
-        for a in agents | {x for pair in list(self.send_om) + list(self.recv_om)
-                           for x in pair}:
+        pairs = list(self.send_om) + list(self.recv_om)
+        for a in agents | {x for pair in pairs for x in pair}:
             if not 1 <= a <= n:
                 raise ValueError(f"agent {a} out of range")
+        for a, b in pairs:
+            if a == b:
+                raise ValueError(f"omission on agent {a}'s link to itself")
+        onsets = [*self.crash.values(), *self.send_om.values(),
+                  *self.recv_om.values()]
+        if onsets and min(onsets) < 1:
+            raise ValueError(f"onset round {min(onsets)} is below 1")
 
     def blocks(self, r: int, sender: int, receiver: int) -> bool:
         return (self.crash.get(sender, INF) <= r
@@ -210,11 +217,6 @@ class Execution:
                                   else self.dev.describe())})
         self.monitor = (InvariantMonitor(n, t, pattern)
                         if config.check_invariants else None)
-        # Round r's phase-2 outcome and phase-3 plan of each shipped table,
-        # and the round's intern map of table entries. None of it depends on
-        # the receiver, so every receiver shares it; see
-        # verification.verify_and_update.
-        self.checked = RoundMemo()
 
     def _emit(self, round_, phase, agent, event, payload):
         if self.sink is not None:
@@ -224,6 +226,10 @@ class Execution:
 
     def exchange(self, r: int):
         """Round r's send, delivery and receive phases."""
+        # Round r's phase-2 outcome and phase-3 plan of each shipped table,
+        # and the round's intern map of table entries. None of it depends on
+        # the receiver, so every receiver shares it; see
+        # verification.verify_and_update.
         self.checked = RoundMemo()
         outboxes = {}
         for i, st in sorted(self.agents.items()):

@@ -20,8 +20,6 @@ Rule identifiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InconsistencyError
 from .links import R, X, append_hs, link_of
 
@@ -51,23 +49,6 @@ def register_xrandom(xrandoms: dict, gen: int, round_: int, link, recipient: int
             "random", "xrandom-conflict", link, round_,
             f"generator {gen} recipient {recipient}: {bit} vs {known}",
         )
-
-
-@dataclass
-class MergeContext:
-    """Everything one agent needs to verify and merge one sender's table."""
-
-    n: int
-    t: int
-    self_id: int
-    round: int                      # the round in which the merge runs
-    ns: dict                        # local NS, already holding this round's direct detections
-    hs: dict                        # local HS
-    sender: int
-    recv_ns: dict                   # the sender's table (its previous-round NS)
-    randoms: dict
-    xrandoms: dict
-    conn_history: dict = field(default_factory=dict)  # round -> frozenset of heard peers
 
 
 def _knows_round(t_a, r: int) -> bool:
@@ -105,20 +86,18 @@ def _require_exact(t_a, b: int, rule: str, link, unknown: str, stale: str):
             "failure round beyond what relays could carry")
 
 
-def verify_msg_chain(ctx: MergeContext):
-    """Check a received table against the legal relay histories (claims 1-7).
+def verify_msg_chain(n: int, t: int, r: int, sender: int, table: dict):
+    """Check sender's table, received in round r, against the legal relay
+    histories (claims 1-7).
 
     The sender's connectivity partition (still-connected vs disconnected
     peers) is reconstructed from the table's own direct-link entries, then
     every indirect entry's round number is checked against what relays
     through that partition could have carried.
     """
-    m = ctx.round - 1
-    recv = ctx.recv_ns
-    j = ctx.sender
-    n, t = ctx.n, ctx.t
+    m = r - 1
     if m == 0:
-        if recv:
+        if table:
             raise InconsistencyError(
                 "chain", "claim2", None, 0, "nonempty table before round 1")
         return
@@ -126,10 +105,10 @@ def verify_msg_chain(ctx: MergeContext):
     connected: set = set()
     x_round: dict = {}   # disconnected peer -> earliest failure round of the direct link
     for p in range(1, n + 1):
-        if p == j:
+        if p == sender:
             continue
-        link = link_of(j, p)
-        t_a = _report(recv, link)
+        link = link_of(sender, p)
+        t_a = _report(table, link)
         if t_a is None:
             raise InconsistencyError(
                 "chain", "claim1", link, m, "direct-link state unknown")
@@ -150,10 +129,10 @@ def verify_msg_chain(ctx: MergeContext):
 
     for k in range(1, n):
         for p in range(k + 1, n + 1):
-            if k == j or p == j:
+            if k == sender or p == sender:
                 continue
             link = (k, p)
-            t_a = _report(recv, link)
+            t_a = _report(table, link)
             k_conn = k in connected
             p_conn = p in connected
             if k_conn or p_conn:
@@ -175,7 +154,7 @@ def verify_msg_chain(ctx: MergeContext):
                     if q == dis_end:
                         continue
                     l2 = link_of(dis_end, q)
-                    t2 = _report(recv, l2)
+                    t2 = _report(table, l2)
                     if t_a[0] == R:
                         _require_exact(
                             t2, m - 2, "claim6", l2,
@@ -198,10 +177,10 @@ def verify_msg_chain(ctx: MergeContext):
                         "state reachable before both disconnections is unknown")
 
 
-def check_format(ctx: MergeContext, link, recv):
-    """Structural validity of one entry (link key and report) of a received
-    table; runs before any other check dereferences the entry."""
-    n, r = ctx.n, ctx.round
+def check_format(n: int, r: int, sender: int, link, recv):
+    """Structural validity of one entry (link key and report) of sender's
+    table received in round r; runs before any other check dereferences
+    the entry."""
     if (type(link) is not tuple or len(link) != 2
             or type(link[0]) is not int or type(link[1]) is not int
             or not 1 <= link[0] < link[1] <= n
@@ -227,14 +206,14 @@ def check_format(ctx: MergeContext, link, recv):
                                  f"malformed report {t_a!r}")
     if t_b is None:
         # A self-observed state: only on the sender's own links, by itself.
-        if ctx.sender not in link or t_a[2] != ctx.sender:
+        if sender not in link or t_a[2] != sender:
             raise InconsistencyError(
                 "format", "bad-source", link, t_a[1],
                 "self-observed tag on a foreign link")
     else:
         ok = (isinstance(t_b, tuple) and len(t_b) == 2
               and isinstance(t_b[0], int) and 1 <= t_b[0] <= n
-              and t_b[0] != ctx.sender
+              and t_b[0] != sender
               and isinstance(t_b[1], int) and 1 <= t_b[1] <= r - 1
               and t_a[1] < t_b[1])
         if not ok:
@@ -242,37 +221,38 @@ def check_format(ctx: MergeContext, link, recv):
                                      f"malformed source tag {t_b!r}")
 
 
-def _check_source(ctx: MergeContext, link, t_a, t_b):
+def _check_source(state, r: int, sender: int, table: dict, link, t_a, t_b):
     if t_b is None:
         return
     src, m_src = t_b
     # Claim 14: adopted from src in the immediately previous round means the
     # sender must itself show its link to src correct at that round.
-    if m_src == ctx.round - 1:
-        e = ctx.recv_ns.get(link_of(ctx.sender, src))
+    if m_src == r - 1:
+        e = table.get(link_of(sender, src))
         if e is None or e[0][0] != R:
             raise InconsistencyError(
                 "source", "claim14", link, m_src,
                 f"sender adopted from {src} at round {m_src} without a correct link")
     # Claim 13: if we heard src in that round too (or the tag names us), the
-    # report must already sit in our own history.
-    if src == ctx.self_id or src in ctx.conn_history.get(m_src, ()):
-        if t_a not in ctx.hs.get((link, t_a[1]), ()):
+    # report must already sit in our own history. lost holds the first round
+    # we did not hear each lost peer.
+    if src == state.id or state.lost.get(src, r) > m_src:
+        if t_a not in state.hs.get((link, t_a[1]), ()):
             raise InconsistencyError(
                 "source", "claim13", link, t_a[1],
                 f"report tagged from {src} round {m_src} is not in local history")
 
 
-def _check_random(ctx: MergeContext, link, t_a):
+def _check_random(state, link, t_a):
     if t_a[0] == R:
         reporter = t_a[2]
         other = link[0] if link[1] == reporter else link[1]
-        register_random(ctx.randoms, other, t_a[1], t_a[3])
+        register_random(state.randoms, other, t_a[1], t_a[3])
     else:
         gen, bits = t_a[2], t_a[3]
-        slot = ctx.xrandoms.setdefault((gen, t_a[1], link), {})
+        slot = state.xrandoms.setdefault((gen, t_a[1], link), {})
         idx = 0
-        for w in range(1, ctx.n + 1):
+        for w in range(1, state.n + 1):
             if w == gen:
                 continue
             known = slot.get(w)
@@ -284,20 +264,22 @@ def _check_random(ctx: MergeContext, link, t_a):
             idx += 1
 
 
-def verify_state(ctx: MergeContext, link, recv):
-    """The reporter, source and random checks for one received report, which
-    check_format has already passed."""
+def verify_state(state, r: int, sender: int, table: dict, link, recv):
+    """The reporter, source and random checks for one entry of sender's
+    table, which check_format has already passed, against the checking
+    agent's own state."""
     t_a, t_b = recv
     if t_a[2] != link[0] and t_a[2] != link[1]:
         raise InconsistencyError(
             "round", "claim8", link, t_a[1],
             f"reporter {t_a[2]} is not an endpoint")
-    _check_source(ctx, link, t_a, t_b)
-    _check_random(ctx, link, t_a)
+    _check_source(state, r, sender, table, link, t_a, t_b)
+    _check_random(state, link, t_a)
 
 
-def merge_state(ctx: MergeContext, link, recv):
-    """Fold one verified report into the local tables (the 11-case table).
+def merge_state(state, r: int, sender: int, link, recv):
+    """Fold one verified report of sender's table, received in round r, into
+    the checking agent's tables (the 11-case table).
 
     Each case first checks the round relations it rests on (claims 9-12 on
     direct links, cases 7-9 on indirect ones), then merges. Case 10
@@ -306,11 +288,10 @@ def merge_state(ctx: MergeContext, link, recv):
     correct this very round, is always an inconsistency.
     """
     t_a, _ = recv
-    ns, hs = ctx.ns, ctx.hs
-    i, j, r = ctx.self_id, ctx.sender, ctx.round
+    ns, hs, i = state.ns, state.hs, state.id
     local = ns.get(link)
     if local is None:                            # Case 11
-        ns[link] = (t_a, (j, r))
+        ns[link] = (t_a, (sender, r))
         append_hs(hs, link, t_a)
         return
     lta = local[0]
@@ -344,7 +325,7 @@ def merge_state(ctx: MergeContext, link, recv):
                     "round", "claim11", link, rr,
                     "endpoint failure rounds differ by more than one")
             if rr == lr - 1:
-                ns[link] = (t_a, (j, r))
+                ns[link] = (t_a, (sender, r))
             append_hs(hs, link, t_a)
         else:                                    # Case 5: the partner's detection
             partner = link[0] if link[1] == i else link[1]
@@ -360,14 +341,14 @@ def merge_state(ctx: MergeContext, link, recv):
     else:
         if lta[0] == R and t_a[0] == R:          # Case 6
             if rr > lr:
-                ns[link] = (t_a, (j, r))
+                ns[link] = (t_a, (sender, r))
             append_hs(hs, link, t_a)
         elif lta[0] == R:                        # Case 7
             if (ri == li and lr >= rr) or (ri != li and lr > rr):
                 raise InconsistencyError(
                     "round", "case7", link, rr,
                     "failure round contradicts a correct-report we hold")
-            ns[link] = (t_a, (j, r))
+            ns[link] = (t_a, (sender, r))
             append_hs(hs, link, t_a)
         elif t_a[0] == R:                        # Case 8
             if (ri == li and lr <= rr) or (ri != li and lr < rr):
@@ -386,7 +367,7 @@ def merge_state(ctx: MergeContext, link, recv):
                     "round", "case9", link, rr,
                     "endpoint failure rounds differ by more than one")
             if lr > rr:
-                ns[link] = (t_a, (j, r))
+                ns[link] = (t_a, (sender, r))
             append_hs(hs, link, t_a)
 
 
@@ -424,16 +405,18 @@ def verify_and_update(state, received: dict, r: int, checked=None):
     sender to its table; r is the current round. Mutates state.ns and
     state.hs in place; raises InconsistencyError on any violation.
 
-    Phase 2 reads only n, t, r, the sender and its table, nothing of the
-    receiver, so every recipient of one shipped table gets the same
-    outcome. So does phase 3's plan: a table's sort order and the value
-    equality of its entries read only the table. checked, when given, is
-    the RoundMemo shared by all of round r's receivers; each shipped table
-    is checked and planned once, and a hit on an error raises a fresh
-    InconsistencyError with the same fields. Without one, the call uses a
-    private memo, so every table is checked.
+    Phase 2 (check_format and verify_msg_chain) takes only n, t, r, the
+    sender and its table, no receiver state, so every recipient of one
+    shipped table gets the same outcome. So does phase 3's plan: a table's
+    sort order and the value equality of its entries read only the table.
+    checked, when given, is the RoundMemo shared by all of round r's
+    receivers; each shipped table is checked and planned once, and a hit on
+    an error raises a fresh InconsistencyError with the same fields. Without
+    one, the call uses a private memo, so every table is checked. Phase 3
+    (verify_state and merge_state) reads and writes the checking agent's
+    own state.
     """
-    n, i = state.n, state.id
+    n, t, i = state.n, state.t, state.id
     ns, hs = state.ns, state.hs
     randoms = state.randoms
     senders = sorted(received)
@@ -463,18 +446,13 @@ def verify_and_update(state, received: dict, r: int, checked=None):
     work = []
     for j in senders:
         table = received[j]
-        ctx = MergeContext(
-            n=n, t=state.t, self_id=i, round=r, ns=ns, hs=hs,
-            sender=j, recv_ns=table, randoms=randoms,
-            xrandoms=state.xrandoms, conn_history=state.conn_history,
-        )
         key = (j, id(table))
         entry = memo.tables.get(key)
         if entry is None:
             try:
                 for link, recv in table.items():
-                    check_format(ctx, link, recv)
-                verify_msg_chain(ctx)
+                    check_format(n, r, j, link, recv)
+                verify_msg_chain(n, t, r, j, table)
             except InconsistencyError as exc:
                 memo.tables[key] = (table, exc, None)
                 raise
@@ -483,7 +461,7 @@ def verify_and_update(state, received: dict, r: int, checked=None):
         if err is not None:
             raise InconsistencyError(err.category, err.rule, err.link,
                                      err.round, err.detail)
-        work.append((ctx, entry[2]))
+        work.append((j, table, entry[2]))
 
     # Phase 3: per-link verify and merge, senders ascending and each table
     # in link order. An entry equal in every field to one already processed
@@ -496,10 +474,10 @@ def verify_and_update(state, received: dict, r: int, checked=None):
     # relations only against the local entry as it stood at the first
     # occurrence.
     done = set()
-    for ctx, plan in work:
+    for j, table, plan in work:
         for link, recv, uid in plan:
             if uid in done:
                 continue
-            verify_state(ctx, link, recv)
-            merge_state(ctx, link, recv)
+            verify_state(state, r, j, table, link, recv)
+            merge_state(state, r, j, link, recv)
             done.add(uid)

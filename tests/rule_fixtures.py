@@ -7,9 +7,10 @@ acceptance suite iterates the whole registry.
 """
 
 from itertools import combinations
+from types import SimpleNamespace
 
 from rucon.links import R, X
-from rucon.verification import MergeContext, check_format, merge_state, \
+from rucon.verification import check_format, merge_state, \
     verify_msg_chain, verify_state
 
 FIXTURES = {}   # "category/rule" -> fixture callable
@@ -48,9 +49,7 @@ def _chain_table(dis_entry="R"):
 
 
 def _chain_check(tbl):
-    ctx = MergeContext(n=7, t=2, self_id=2, round=5, ns={}, hs={}, sender=1,
-                       recv_ns=tbl, randoms={}, xrandoms={})
-    verify_msg_chain(ctx)
+    verify_msg_chain(7, 2, 5, 1, tbl)
 
 
 @_register("chain", "claim1")
@@ -132,104 +131,110 @@ def _fx_claim7(mutate):
 
 
 # --- per-report fixtures ----------------------------------------------------
-# Small synthetic contexts at n=5, t=1, verifier 1, all at round 5.
+# Small synthetic receivers at n=5, t=1: verifier 1 checks a report of
+# sender 2, at round 5 unless a fixture says otherwise.
 
-def _ctx(**kw):
-    base = dict(n=5, t=1, self_id=1, round=5, ns={}, hs={}, sender=2,
-                recv_ns={}, randoms={}, xrandoms={}, conn_history={})
+def receiver(**kw):
+    """The checking agent's state as phase 3 reads it. By default it has
+    heard no one since round 1, so claim 13 never asks for its history."""
+    base = dict(id=1, n=5, ns={}, hs={}, randoms={}, xrandoms={},
+                lost={2: 1, 3: 1, 4: 1, 5: 1})
     base.update(kw)
-    return MergeContext(**base)
+    return SimpleNamespace(**base)
 
 
-def _verify_merge(ctx, link, recv):
+def _verify(state, link, recv, table=None, r=5):
+    verify_state(state, r, 2, table or {}, link, recv)
+
+
+def _verify_merge(state, link, recv, r=5):
     """One report through phase 3 as production runs it: the round
     relations are checked by merge_state, case by case."""
-    verify_state(ctx, link, recv)
-    merge_state(ctx, link, recv)
+    _verify(state, link, recv, r=r)
+    merge_state(state, r, 2, link, recv)
 
 
 @_register("format", "bad-state")
 def _fx_bad_state(mutate):
     rand = 9 if mutate else 1       # message randoms live in [0, n)
-    check_format(_ctx(), (3, 4), ((R, 2, 3, rand), (3, 3)))
+    check_format(5, 5, 2, (3, 4), ((R, 2, 3, rand), (3, 3)))
 
 
 @_register("format", "bad-source")
 def _fx_bad_source(mutate):
     tb = None if mutate else (3, 3)  # own-observation tag on a foreign link
-    check_format(_ctx(), (3, 4), ((R, 2, 3, 1), tb))
+    check_format(5, 5, 2, (3, 4), ((R, 2, 3, 1), tb))
 
 
 @_register("round", "claim8")
 def _fx_claim8(mutate):
     reporter = 5 if mutate else 3   # must be an endpoint of (3,4)
-    verify_state(_ctx(), (3, 4), ((R, 2, reporter, 1), (3, 3)))
+    _verify(receiver(), (3, 4), ((R, 2, reporter, 1), (3, 3)))
 
 
 @_register("round", "claim9")
 def _fx_claim9(mutate):
-    ctx = _ctx(ns={(1, 2): ((R, 4, 1, 0), None)})
+    st = receiver(ns={(1, 2): ((R, 4, 1, 0), None)})
     rd = 4 if mutate else 3         # a relay can only lag our own view
-    _verify_merge(ctx, (1, 2), ((R, rd, 2, 3), None))
+    _verify_merge(st, (1, 2), ((R, rd, 2, 3), None))
 
 
 @_register("round", "claim10")
 def _fx_claim10(mutate):
-    ctx = _ctx(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
+    st = receiver(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     rd = 3 if mutate else 2         # correct-report beyond the failure round
-    _verify_merge(ctx, (1, 2), ((R, rd, 2, 1), None))
+    _verify_merge(st, (1, 2), ((R, rd, 2, 1), None))
 
 
 @_register("round", "claim11")
 def _fx_claim11(mutate):
-    ctx = _ctx(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
+    st = receiver(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # our report, altered
-    _verify_merge(ctx, (1, 2), ((X, 2, 1, bits), (3, 3)))
+    _verify_merge(st, (1, 2), ((X, 2, 1, bits), (3, 3)))
 
 
 @_register("round", "claim11", suffix=":gap")
 def _fx_claim11_gap(mutate):
-    ctx = _ctx(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
+    st = receiver(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     rd = 4 if mutate else 3         # endpoint detections differ by > 1
-    _verify_merge(ctx, (1, 2), ((X, rd, 2, (1, 0, 1, 0)), None))
+    _verify_merge(st, (1, 2), ((X, rd, 2, (1, 0, 1, 0)), None))
 
 
 @_register("round", "claim12")
 def _fx_claim12(mutate):
-    ctx = _ctx(ns={(1, 2): ((X, 2, 2, (0, 1, 0, 1)), (2, 3))})
+    st = receiver(ns={(1, 2): ((X, 2, 2, (0, 1, 0, 1)), (2, 3))})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # partner's, altered
-    _verify_merge(ctx, (1, 2), ((X, 2 + mutate, 2, bits), None)
+    _verify_merge(st, (1, 2), ((X, 2 + mutate, 2, bits), None)
                   if mutate else ((X, 2, 2, bits), None))
 
 
 @_register("round", "claim12", suffix=":lag")
 def _fx_claim12_lag(mutate):
-    ctx = _ctx(round=6, ns={(1, 2): ((X, 2, 2, (0, 1, 0, 1)), (2, 3))})
+    st = receiver(ns={(1, 2): ((X, 2, 2, (0, 1, 0, 1)), (2, 3))})
     rd = 2 if mutate else 3         # our own detection must trail by one
-    _verify_merge(ctx, (1, 2), ((X, rd, 1, (0, 0, 0, 0)), (3, rd + 1)))
+    _verify_merge(st, (1, 2), ((X, rd, 1, (0, 0, 0, 0)), (3, rd + 1)), r=6)
 
 
 @_register("source", "claim13")
 def _fx_claim13(mutate):
     t_a = (R, 2, 3, 1)
     hs = {} if mutate else {((3, 4), 2): (t_a,)}
-    ctx = _ctx(hs=hs, conn_history={3: frozenset({3})})
-    verify_state(ctx, (3, 4), (t_a, (3, 3)))
+    st = receiver(hs=hs, lost={2: 1, 4: 1, 5: 1})   # 3 heard at round 3
+    _verify(st, (3, 4), (t_a, (3, 3)))
 
 
 @_register("source", "claim14")
 def _fx_claim14(mutate):
-    recv_ns = {} if mutate else {(2, 3): ((R, 4, 2, 0), None)}
-    ctx = _ctx(recv_ns=recv_ns)
+    table = {} if mutate else {(2, 3): ((R, 4, 2, 0), None)}
     # tagged as adopted from 3 in the previous round: the sender's own
     # link to 3 must have been correct then
-    verify_state(ctx, (3, 4), ((R, 2, 3, 1), (3, 4)))
+    _verify(receiver(), (3, 4), ((R, 2, 3, 1), (3, 4)), table)
 
 
 @_register("random", "random-conflict")
 def _fx_random_conflict(mutate):
-    ctx = _ctx(randoms={(4, 2): 0 if mutate else 1})
-    verify_state(ctx, (3, 4), ((R, 2, 3, 1), (3, 3)))
+    st = receiver(randoms={(4, 2): 0 if mutate else 1})
+    _verify(st, (3, 4), ((R, 2, 3, 1), (3, 3)))
 
 
 @_register("random", "xrandom-conflict")
@@ -242,41 +247,41 @@ def _fx_xrandom_conflict(mutate):
 
 @_register("random", "xrandom-mismatch")
 def _fx_xrandom_mismatch(mutate):
-    ctx = _ctx(xrandoms={(3, 2, (3, 4)): {1: 1 if mutate else 0}})
-    verify_state(ctx, (3, 4), ((X, 2, 3, (0, 1, 0, 1)), (3, 3)))
+    st = receiver(xrandoms={(3, 2, (3, 4)): {1: 1 if mutate else 0}})
+    _verify(st, (3, 4), ((X, 2, 3, (0, 1, 0, 1)), (3, 3)))
 
 
 @_register("round", "case7")
 def _fx_case7(mutate):
-    ctx = _ctx(round=6, ns={(3, 4): ((R, 2, 3, 1), (3, 3))})
+    st = receiver(ns={(3, 4): ((R, 2, 3, 1), (3, 3))})
     rd = 2 if mutate else 3         # failure round at or before a correct one
-    _verify_merge(ctx, (3, 4), ((X, rd, 3, (0, 1, 0, 1)), (3, rd + 1)))
+    _verify_merge(st, (3, 4), ((X, rd, 3, (0, 1, 0, 1)), (3, rd + 1)), r=6)
 
 
 @_register("round", "case8")
 def _fx_case8(mutate):
-    ctx = _ctx(ns={(3, 4): ((X, 2, 3, (0, 1, 0, 1)), (3, 3))})
+    st = receiver(ns={(3, 4): ((X, 2, 3, (0, 1, 0, 1)), (3, 3))})
     rd = 2 if mutate else 1         # correct-report at or after the failure
-    _verify_merge(ctx, (3, 4), ((R, rd, 3, 1), (3, rd + 1)))
+    _verify_merge(st, (3, 4), ((R, rd, 3, 1), (3, rd + 1)))
 
 
 @_register("round", "case9")
 def _fx_case9(mutate):
-    ctx = _ctx(ns={(3, 4): ((X, 2, 3, (0, 1, 0, 1)), (3, 3))})
+    st = receiver(ns={(3, 4): ((X, 2, 3, (0, 1, 0, 1)), (3, 3))})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # same reporter, altered
-    _verify_merge(ctx, (3, 4), ((X, 2, 3, bits), (3, 3)))
+    _verify_merge(st, (3, 4), ((X, 2, 3, bits), (3, 3)))
 
 
 @_register("round", "case9", suffix=":gap")
 def _fx_case9_gap(mutate):
-    ctx = _ctx(round=6, ns={(3, 4): ((X, 1, 3, (0, 1, 0, 1)), (3, 2))})
+    st = receiver(ns={(3, 4): ((X, 1, 3, (0, 1, 0, 1)), (3, 2))})
     rd = 3 if mutate else 2         # endpoint detections differ by > 1
-    _verify_merge(ctx, (3, 4), ((X, rd, 4, (1, 0, 1, 0)), (3, rd + 1)))
+    _verify_merge(st, (3, 4), ((X, rd, 4, (1, 0, 1, 0)), (3, rd + 1)), r=6)
 
 
 @_register("merge", "case2")
 def _fx_case2(mutate):
-    ctx = _ctx(ns={(1, 2): ((R, 5, 1, 2), None)}, hs={})
+    st = receiver(ns={(1, 2): ((R, 5, 1, 2), None)})
     recv = ((X, 4, 2, (0, 1, 0, 1)), None) if mutate \
         else ((R, 4, 2, 1), None)
-    _verify_merge(ctx, (1, 2), recv)
+    _verify_merge(st, (1, 2), recv)

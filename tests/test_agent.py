@@ -16,7 +16,7 @@ def _fresh(i=1, n=3, t=0, seed=0, value=0):
 
 def test_init_state():
     st = _fresh()
-    assert st.lost == set()
+    assert st.lost == {}
     assert st.consensus == set()
     assert st.decision is UNDECIDED
     assert st.q_poly.constant == 0
@@ -80,7 +80,7 @@ def test_final_message_carries_consensus():
 
 def test_send_phase_respects_lost_and_decisions():
     st = init_agent(1, 5, 1, 0, random.Random(1))
-    st.lost = {3}
+    st.lost = {3: 1}
     msgs = send_phase(st, 1)
     assert sorted(msgs) == [2, 4, 5]
     # one table per round, shared by every recipient
@@ -95,14 +95,14 @@ def test_receive_phase_punishes_silence():
     pattern = FailurePattern(send_om={(4, 2): 1})
     _, snap = run_agents(5, 1, seed=3, pattern=pattern, capture_round=1)
     st = snap[2]
-    assert st.lost == {4}
+    assert st.lost == {4: 1}
     assert st.decision is UNDECIDED
 
 
 def test_receive_phase_gives_up_past_t():
     st = init_agent(1, 5, 1, 0, random.Random(1))
     receive_phase(st, 1, {})    # all four peers silent
-    assert st.lost == {2, 3, 4, 5}
+    assert st.lost == {2: 1, 3: 1, 4: 1, 5: 1}
     assert st.decision == NO_DECISION
 
 
@@ -112,7 +112,7 @@ def test_single_loss_tolerated():
              for j in (2, 3, 4)}
     fresh = init_agent(1, 5, 1, 0, random.Random(9))
     receive_phase(fresh, 1, inbox)
-    assert fresh.lost == {5}
+    assert fresh.lost == {5: 1}
     assert fresh.decision is UNDECIDED
 
 

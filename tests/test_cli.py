@@ -56,7 +56,11 @@ def test_pattern_file_malformed_is_usage_error(tmp_path):
     pattern = tmp_path / "pattern.jsonl"
     for line in ('{"agent": 5}', '[1, 2]',
                  '{"agent": 5, "kind": "send", "from_round": 1}',
-                 '{"agent": "5", "kind": "crash", "from_round": 1}'):
+                 '{"agent": "5", "kind": "crash", "from_round": 1}',
+                 '{"agent": 2, "kind": "send", "peer": 2, "from_round": 1}',
+                 '{"agent": 2, "kind": "receive", "peer": 2, "from_round": 1}',
+                 '{"agent": 2, "kind": "crash", "from_round": -3}',
+                 '{"agent": 2, "kind": "send", "peer": 3, "from_round": 0}'):
         pattern.write_text(line + "\n")
         assert main(["run", "--n", "5", "--t", "1", "--seed", "3",
                      "--pattern", str(pattern)]) == 2, line
@@ -215,6 +219,22 @@ def test_verify_trace_unreadable(tmp_path, capsys):
     no_payload.write_text('{"phase": "meta", "event": "config"}\n')
     assert main(["verify-trace", str(no_payload)]) == 2
     assert main(["verify-trace", str(tmp_path / "absent.jsonl")]) == 2
+    # a config n that disagrees with its values would check the wrong agents
+    trace = _write_trace(tmp_path, capsys)
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    config = next(r for r in records if r["event"] == "config")
+    edited = tmp_path / "edited.jsonl"
+    for key, bad in (("n", 3), ("n", True), ("n", 7), ("n", 5.0),
+                     ("values", "abcde")):
+        good = config["payload"][key]
+        config["payload"][key] = bad
+        edited.write_text("".join(json.dumps(r) + "\n" for r in records))
+        config["payload"][key] = good
+        assert main(["verify-trace", str(edited)]) == 2, (key, bad)
+    # no agents to check is no verdict
+    edited.write_text(json.dumps({"phase": "meta", "event": "config",
+                                  "payload": {"n": 0, "values": []}}) + "\n")
+    assert main(["verify-trace", str(edited)]) == 2
 
 
 def test_trace_is_byte_identical(tmp_path, capsys):

@@ -12,7 +12,9 @@ table checked and merged each case in one dispatch, so a refactor that
 changes what any run computes or records fails here. The fixtures digest
 covers the full error (category, rule, link, round and text) that every
 rule fixture raises on its mutated input, recorded before the message-chain
-bounds were stated once.
+bounds were stated once. The deviations-agent3 group (every type with
+deviant agent 3 and the invariant monitor on) was recorded before the
+receiver's history of who it heard was stored once, in its lost map.
 """
 
 import dataclasses
@@ -39,6 +41,8 @@ GOLDEN = {
         "f76cc036c65207a06d47bd01dbebcf705efc9813501f601f2fe80dc2a38d063d",
     "deviations-5-1":
         "a01c849b5c662f0b2b13b058b2fa49d53ed0098a16152eff575fe2a780b41c6b",
+    "deviations-agent3-5-1":
+        "e050bfbc66025a68fa8b2ce8408a46e6c5d4818204658c3549210b8e5b81cdb9",
     "deviations-7-2":
         "107e49411a80bcdf788f1d55228919400d654402fcba4313fcc23ca41706008d",
     "lies-5-1":
@@ -53,22 +57,25 @@ GOLDEN = {
 
 
 def _configs(group):
-    kind, n, t = group.split("-")
+    kind, n, t = group.rsplit("-", 2)
     n, t = int(n), int(t)
     if kind == "honest":
         return [RunConfig(n=n, t=t, seed=s, sample_pattern=True)
                 for s in HONEST_SEEDS]
-    if kind == "deviations":
+    # agent 1 with invariants off, as in the deviation study; the agent3
+    # group puts a non-first deviant under the invariant monitor
+    agent, checked = (3, True) if kind == "deviations-agent3" else (1, False)
+    if kind.startswith("deviations"):
         devs = [(tid, {}) for tid in sorted(DEVIATION_TYPES)]
     else:
         rounds = range(2, t + 4)
         devs = ([(6, {"case": c, "round": r})
                  for c in range(1, 9) for r in rounds]
                 + [(7, {"round": r}) for r in rounds])
-    # invariants off, as in the deviation study
     return [RunConfig(n=n, t=t, seed=s, sample_pattern=True,
-                      check_invariants=False,
-                      deviation=make_deviation(tid, agent=1, seed=s, **params))
+                      check_invariants=checked,
+                      deviation=make_deviation(tid, agent=agent, seed=s,
+                                               **params))
             for tid, params in devs for s in DEVIATION_SEEDS]
 
 
@@ -86,7 +93,7 @@ def _canon(obj):
 
 
 def _study_digest(group):
-    _, n, t = group.split("-")
+    _, n, t = group.rsplit("-", 2)
     base = RunConfig(n=int(n), t=int(t), seed=0)
     digest = hashlib.sha256()
     for tid in sorted(DEVIATION_TYPES):

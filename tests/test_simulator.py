@@ -77,6 +77,15 @@ def test_pattern_validation():
         FailurePattern(crash={1: 1, 2: 1}).validate(5, 1)
     with pytest.raises(ValueError):
         FailurePattern(crash={9: 1}).validate(5, 1)
+    # an omission needs two distinct ends, and every onset is a round >= 1
+    for bad in (FailurePattern(send_om={(2, 2): 1}),
+                FailurePattern(recv_om={(2, 2): 3}),
+                FailurePattern(crash={2: -3}),
+                FailurePattern(send_om={(2, 3): 0}),
+                FailurePattern(recv_om={(2, 3): 0})):
+        with pytest.raises(ValueError):
+            bad.validate(5, 1)
+    FailurePattern(send_om={(2, 3): 1}, recv_om={(2, 4): 1}).validate(5, 1)
 
 
 def test_pattern_blocks_never_recovers():

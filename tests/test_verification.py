@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import run_agents
-from rule_fixtures import FIXTURES
+from rule_fixtures import FIXTURES, receiver
 from rucon import simulator, verification
 from rucon.agent import UNDECIDED
 from rucon.cli import write_trace
@@ -15,9 +15,9 @@ from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
 from rucon.simulator import Execution, RunConfig, run
-from rucon.verification import (MergeContext, RoundMemo, merge_state,
-                                register_random, register_xrandom,
-                                verify_and_update, verify_msg_chain)
+from rucon.verification import (RoundMemo, merge_state, register_random,
+                                register_xrandom, verify_and_update,
+                                verify_msg_chain, verify_state)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -30,14 +30,25 @@ def test_rule_fixture(name):
 
 
 def test_empty_table_before_round_one():
-    ctx = MergeContext(n=5, t=1, self_id=1, round=1, ns={}, hs={}, sender=2,
-                       recv_ns={(1, 2): ((R, 1, 2, 0), None)},
-                       randoms={}, xrandoms={})
     with pytest.raises(InconsistencyError) as exc:
-        verify_msg_chain(ctx)
+        verify_msg_chain(5, 1, 1, 2, {(1, 2): ((R, 1, 2, 0), None)})
     assert (exc.value.category, exc.value.rule) == ("chain", "claim2")
-    ctx.recv_ns = {}
-    verify_msg_chain(ctx)   # nothing claimed, nothing to check
+    verify_msg_chain(5, 1, 1, 2, {})   # nothing claimed, nothing to check
+
+
+@pytest.mark.parametrize("lost_round,rule", [(3, None), (4, "claim13")])
+def test_claim13_reads_the_round_a_peer_was_lost(lost_round, rule):
+    # A report tagged (3, 3) at round 5 with an empty HS. lost={3: 3}: 3 was
+    # not heard at round 3, so the report need not be in our history.
+    # lost={3: 4}: 3 was heard at round 3, so it must be.
+    st = receiver(lost={3: lost_round})
+    recv = ((R, 2, 3, 1), (3, 3))
+    if rule is None:
+        verify_state(st, 5, 2, {}, (3, 4), recv)
+        return
+    with pytest.raises(InconsistencyError) as exc:
+        verify_state(st, 5, 2, {}, (3, 4), recv)
+    assert (exc.value.category, exc.value.rule) == ("source", rule)
 
 
 def test_register_random_write_once():
@@ -59,104 +70,103 @@ def test_register_xrandom_per_recipient():
 
 # --- merge case table --------------------------------------------------------
 
-def _merge_ctx(ns=None, hs=None, round_=5):
-    return MergeContext(n=5, t=1, self_id=1, round=round_, ns=ns or {},
-                        hs=hs or {}, sender=2, recv_ns={}, randoms={},
-                        xrandoms={})
+def _merge(st, link, recv):
+    """Merge a report of sender 2 into agent 1's tables at round 5."""
+    merge_state(st, 5, 2, link, recv)
 
 
 def test_merge_case1_direct_rr_appends():
-    ctx = _merge_ctx(ns={(1, 2): ((R, 5, 1, 2), None)})
-    merge_state(ctx, (1, 2), ((R, 4, 2, 1), None))
-    assert ctx.ns[(1, 2)] == ((R, 5, 1, 2), None)       # NS untouched
-    assert ctx.hs[((1, 2), 4)] == ((R, 4, 2, 1),)
+    st = receiver(ns={(1, 2): ((R, 5, 1, 2), None)})
+    _merge(st, (1, 2), ((R, 4, 2, 1), None))
+    assert st.ns[(1, 2)] == ((R, 5, 1, 2), None)        # NS untouched
+    assert st.hs[((1, 2), 4)] == ((R, 4, 2, 1),)
 
 
 def test_merge_case2_is_an_error():
-    ctx = _merge_ctx(ns={(1, 2): ((R, 5, 1, 2), None)})
+    st = receiver(ns={(1, 2): ((R, 5, 1, 2), None)})
     with pytest.raises(InconsistencyError) as exc:
-        merge_state(ctx, (1, 2), ((X, 4, 2, (0, 1, 0, 1)), None))
+        _merge(st, (1, 2), ((X, 4, 2, (0, 1, 0, 1)), None))
     assert (exc.value.category, exc.value.rule) == ("merge", "case2")
 
 
 def test_merge_case3_direct_xr_appends():
-    ctx = _merge_ctx(ns={(1, 2): ((X, 3, 1, (0, 0, 1, 1)), None)})
-    merge_state(ctx, (1, 2), ((R, 2, 2, 1), None))
-    assert ctx.ns[(1, 2)][0][0] == X                    # fault is kept
-    assert ctx.hs[((1, 2), 2)] == ((R, 2, 2, 1),)
+    st = receiver(ns={(1, 2): ((X, 3, 1, (0, 0, 1, 1)), None)})
+    _merge(st, (1, 2), ((R, 2, 2, 1), None))
+    assert st.ns[(1, 2)][0][0] == X                     # fault is kept
+    assert st.hs[((1, 2), 2)] == ((R, 2, 2, 1),)
 
 
 def test_merge_case4_adopts_earlier_failure():
     # partner detected one round before us: its round wins in NS
     local = ((X, 3, 1, (0, 0, 1, 1)), None)
     recv = ((X, 2, 2, (1, 0, 1, 0)), None)
-    ctx = _merge_ctx(ns={(1, 2): local})
-    merge_state(ctx, (1, 2), recv)
-    assert ctx.ns[(1, 2)] == (recv[0], (2, 5))
-    assert ctx.hs[((1, 2), 2)] == (recv[0],)
+    st = receiver(ns={(1, 2): local})
+    _merge(st, (1, 2), recv)
+    assert st.ns[(1, 2)] == (recv[0], (2, 5))
+    assert st.hs[((1, 2), 2)] == (recv[0],)
 
 
 def test_merge_case4_appends_same_or_next_round():
     local = ((X, 3, 1, (0, 0, 1, 1)), None)
     for rd in (3, 4):
-        ctx = _merge_ctx(ns={(1, 2): local})
+        st = receiver(ns={(1, 2): local})
         recv = ((X, rd, 2, (1, 0, 1, 0)), None)
-        merge_state(ctx, (1, 2), recv)
-        assert ctx.ns[(1, 2)] == local                  # append only
-        assert recv[0] in ctx.hs[((1, 2), rd)]
+        _merge(st, (1, 2), recv)
+        assert st.ns[(1, 2)] == local                   # append only
+        assert recv[0] in st.hs[((1, 2), rd)]
 
 
 def test_merge_case5_partner_report_noop():
     local = ((X, 3, 2, (0, 0, 1, 1)), (2, 4))
-    ctx = _merge_ctx(ns={(1, 2): local})
-    merge_state(ctx, (1, 2), ((X, 3, 2, (0, 0, 1, 1)), None))
-    assert ctx.ns[(1, 2)] == local
-    assert ctx.hs == {}
+    st = receiver(ns={(1, 2): local})
+    _merge(st, (1, 2), ((X, 3, 2, (0, 0, 1, 1)), None))
+    assert st.ns[(1, 2)] == local
+    assert st.hs == {}
 
 
 def test_merge_case6_newer_r_adopted():
-    ctx = _merge_ctx(ns={(3, 4): ((R, 2, 3, 1), (3, 3))})
-    merge_state(ctx, (3, 4), ((R, 3, 3, 0), (3, 4)))
-    assert ctx.ns[(3, 4)] == ((R, 3, 3, 0), (2, 5))
-    ctx2 = _merge_ctx(ns={(3, 4): ((R, 3, 3, 0), (3, 4))})
-    merge_state(ctx2, (3, 4), ((R, 2, 3, 1), (3, 3)))
-    assert ctx2.ns[(3, 4)] == ((R, 3, 3, 0), (3, 4))    # older only appends
-    assert ctx2.hs[((3, 4), 2)] == ((R, 2, 3, 1),)
+    st = receiver(ns={(3, 4): ((R, 2, 3, 1), (3, 3))})
+    _merge(st, (3, 4), ((R, 3, 3, 0), (3, 4)))
+    assert st.ns[(3, 4)] == ((R, 3, 3, 0), (2, 5))
+    st2 = receiver(ns={(3, 4): ((R, 3, 3, 0), (3, 4))})
+    _merge(st2, (3, 4), ((R, 2, 3, 1), (3, 3)))
+    assert st2.ns[(3, 4)] == ((R, 3, 3, 0), (3, 4))     # older only appends
+    assert st2.hs[((3, 4), 2)] == ((R, 2, 3, 1),)
 
 
 def test_merge_case7_x_replaces_r():
-    ctx = _merge_ctx(ns={(3, 4): ((R, 2, 3, 1), (3, 3))})
+    st = receiver(ns={(3, 4): ((R, 2, 3, 1), (3, 3))})
     recv = ((X, 3, 3, (0, 1, 0, 1)), (3, 4))
-    merge_state(ctx, (3, 4), recv)
-    assert ctx.ns[(3, 4)] == (recv[0], (2, 5))
+    _merge(st, (3, 4), recv)
+    assert st.ns[(3, 4)] == (recv[0], (2, 5))
 
 
 def test_merge_case8_r_appends_under_x():
     local = ((X, 3, 3, (0, 1, 0, 1)), (3, 4))
-    ctx = _merge_ctx(ns={(3, 4): local})
-    merge_state(ctx, (3, 4), ((R, 2, 3, 1), (3, 3)))
-    assert ctx.ns[(3, 4)] == local
-    assert ctx.hs[((3, 4), 2)] == ((R, 2, 3, 1),)
+    st = receiver(ns={(3, 4): local})
+    _merge(st, (3, 4), ((R, 2, 3, 1), (3, 3)))
+    assert st.ns[(3, 4)] == local
+    assert st.hs[((3, 4), 2)] == ((R, 2, 3, 1),)
 
 
 def test_merge_case9_earlier_x_adopted():
     local = ((X, 3, 3, (0, 1, 0, 1)), (3, 4))
     recv = ((X, 2, 4, (1, 1, 0, 0)), (4, 3))
-    ctx = _merge_ctx(ns={(3, 4): local})
-    merge_state(ctx, (3, 4), recv)
-    assert ctx.ns[(3, 4)] == (recv[0], (2, 5))          # earliest round wins
+    st = receiver(ns={(3, 4): local})
+    _merge(st, (3, 4), recv)
+    assert st.ns[(3, 4)] == (recv[0], (2, 5))           # earliest round wins
     same_reporter = ((X, 3, 3, (0, 1, 0, 1)), (3, 4))
-    ctx2 = _merge_ctx(ns={(3, 4): local})
-    merge_state(ctx2, (3, 4), same_reporter)
-    assert ctx2.hs == {}                                # no-op
+    st2 = receiver(ns={(3, 4): local})
+    _merge(st2, (3, 4), same_reporter)
+    assert st2.hs == {}                                 # no-op
 
 
 def test_merge_case11_unknown_adopts():
-    ctx = _merge_ctx()
+    st = receiver()
     recv = ((R, 2, 3, 1), (3, 3))
-    merge_state(ctx, (3, 4), recv)
-    assert ctx.ns[(3, 4)] == (recv[0], (2, 5))
-    assert ctx.hs[((3, 4), 2)] == (recv[0],)
+    _merge(st, (3, 4), recv)
+    assert st.ns[(3, 4)] == (recv[0], (2, 5))
+    assert st.hs[((3, 4), 2)] == (recv[0],)
 
 
 def test_case10_absent_entry_skipped():
@@ -229,9 +239,9 @@ def chain_walks(monkeypatch):
     calls = Counter()
     real = verification.verify_msg_chain
 
-    def counted(ctx):
-        calls[(ctx.sender, ctx.round)] += 1
-        return real(ctx)
+    def counted(n, t, r, sender, table):
+        calls[(sender, r)] += 1
+        return real(n, t, r, sender, table)
     monkeypatch.setattr(verification, "verify_msg_chain", counted)
     return calls
 
