@@ -80,8 +80,9 @@ def _gen_randoms(state: AgentState, r: int):
                 slot[k] = state.rng.getrandbits(1)
 
 
-def init_agent(i: int, n: int, t: int, value: int, rng: random.Random,
-               p: int = DEFAULT_PRIME) -> AgentState:
+def init_agent(i: int, n: int, t: int, value: int,
+               rng: random.Random) -> AgentState:
+    p = DEFAULT_PRIME
     if not (n >= 3 and n > 2 * t + 1 and 1 <= i <= n):
         raise ValueError(f"bad parameters n={n}, t={t}, id={i}")
     if not 0 <= value < p:
@@ -227,11 +228,11 @@ def _finalize(state: AgentState):
     state.consensus.add(elected)
 
 
-def compute_phase(state: AgentState, r: int, checked=None):
+def compute_phase(state: AgentState, r: int, checked):
     """Any inconsistency found in this round's work ends in punishment.
 
     checked is the round's RoundMemo that verify_and_update shares
-    between receivers, or None to check and plan every table."""
+    between receivers."""
     if state.decision is not UNDECIDED:
         return
     t = state.t

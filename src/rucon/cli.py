@@ -72,20 +72,19 @@ def _build_config(args) -> RunConfig:
     return config
 
 
-def _print_result(res, out):
-    print(f"decisions: {res.decisions}", file=out)
-    print(f"outcome: {res.outcome}", file=out)
-    print(f"m*: {res.m_star}  D: {res.d_set}", file=out)
-    print(f"utilities: {res.utilities}", file=out)
+def _print_result(res):
+    print(f"decisions: {res.decisions}")
+    print(f"outcome: {res.outcome}")
+    print(f"m*: {res.m_star}  D: {res.d_set}")
+    print(f"utilities: {res.utilities}")
     for name, (ok, detail) in res.invariants.items():
         line = f"invariant {name}: {'ok' if ok else 'FAIL'}"
         if detail and not ok:
             line += f" ({detail})"
-        print(line, file=out)
+        print(line)
 
 
-def cmd_run(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_run(args) -> int:
     config = _build_config(args)
     config.sample_pattern = args.sample_pattern
     sink = [] if args.trace else None
@@ -93,12 +92,11 @@ def cmd_run(args, out=None) -> int:
     res = run(config)
     if args.trace:
         write_trace(args.trace, sink)
-    _print_result(res, out)
+    _print_result(res)
     return 0 if res.invariants_ok else 1
 
 
-def cmd_batch(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_batch(args) -> int:
     base = _build_config(args)
     failures = 0
     outcomes, m_stars = Counter(), Counter()
@@ -111,14 +109,13 @@ def cmd_batch(args, out=None) -> int:
         outcomes[res.outcome[0]] += 1
         m_stars[res.m_star] += 1
         print(f"seed={cfg.seed} outcome={res.outcome} m*={res.m_star} "
-              f"D={res.d_set} invariants={'ok' if ok else 'FAIL'}", file=out)
+              f"D={res.d_set} invariants={'ok' if ok else 'FAIL'}")
     print("outcomes: " + " ".join(
-        f"{o}={c}" for o, c in sorted(outcomes.items())), file=out)
+        f"{o}={c}" for o, c in sorted(outcomes.items())))
     # m* may also be None or a list, so sort by its text
     print("decision rounds (m*): " + " ".join(
-        f"{m}={c}" for m, c in sorted(m_stars.items(), key=lambda kv: str(kv[0]))),
-        file=out)
-    print(f"{args.runs - failures}/{args.runs} runs clean", file=out)
+        f"{m}={c}" for m, c in sorted(m_stars.items(), key=lambda kv: str(kv[0]))))
+    print(f"{args.runs - failures}/{args.runs} runs clean")
     return 0 if failures == 0 else 1
 
 
@@ -144,11 +141,7 @@ def _summary_line(s) -> str:
     return line
 
 
-def cmd_deviate(args, out=None) -> int:
-    out = out or sys.stdout
-    if args.type != "all" and args.type not in DEVIATION_TYPES:
-        print(f"unknown deviation type {args.type}", file=sys.stderr)
-        return 2
+def cmd_deviate(args) -> int:
     types = sorted(DEVIATION_TYPES) if args.type == "all" else [args.type]
     base = _build_config(args)
     params = _parse_params(args.param)
@@ -157,25 +150,21 @@ def cmd_deviate(args, out=None) -> int:
         return make_deviation(tid, agent=args.agent, seed=args.seed, **params)
 
     for tid in types:   # reject the agent and parameters before any line
-        dev = make(tid)
-        replace(base, deviation=dev).validate()
-        dev.bind(base.n, base.t, len(base.value_domain))
-    print(f"n={base.n} t={base.t} runs={args.runs} deviant={args.agent}",
-          file=out)
+        replace(base, deviation=make(tid)).validate()
+    print(f"n={base.n} t={base.t} runs={args.runs} deviant={args.agent}")
     summaries = []
     for tid in types:
         summary = deviation_experiment(base, lambda: make(tid), args.runs)
         summaries.append(summary)
-        print(_summary_line(summary), file=out)
+        print(_summary_line(summary))
     worst = max(summaries, key=lambda s: s.mean_diff - 2 * s.se_diff)
     verdict = ("no profitable gain" if worst.gain_within_noise
                else "GAIN DETECTED")
-    print(f"verdict: {verdict} (worst: {worst.deviation})", file=out)
+    print(f"verdict: {verdict} (worst: {worst.deviation})")
     return 0 if worst.gain_within_noise else 1
 
 
-def cmd_verify_trace(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_verify_trace(args) -> int:
     try:
         with open(args.trace_file) as fh:
             records = [json.loads(line) for line in fh if line.strip()]
@@ -200,9 +189,9 @@ def cmd_verify_trace(args, out=None) -> int:
     problems = [f"{name}: FAIL ({detail})"
                 for name, (ok, detail) in report.items() if not ok]
     for p in problems:
-        print(p, file=out)
+        print(p)
     if not problems:
-        print("trace clean", file=out)
+        print("trace clean")
     return 0 if not problems else 1
 
 

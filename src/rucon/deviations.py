@@ -33,11 +33,13 @@ class Deviation:
     """Base: an honest agent in disguise. Subclasses override hooks.
 
     `defaults` declares each parameter a type takes and its default; each
-    becomes an attribute. A `round` may name any of rounds 1..t+last_round.
+    becomes an attribute. A `round` may name any of rounds
+    first_round..t+last_round.
     """
 
     type_id = 0
     defaults: dict = {}
+    first_round = 1
     last_round = 4
 
     def __init__(self, agent: int = 1, seed: int = 0, **params):
@@ -58,10 +60,11 @@ class Deviation:
                     default is not None and type(value) is not type(default)):
                 raise ValueError(f"deviation type {self.type_id} takes no "
                                  f"{name}={value!r}")
-        last = t + self.last_round
-        if "round" in self.defaults and not 1 <= self.round <= last:
-            raise ValueError(f"deviation round must be in 1..{last}, "
-                             f"got {self.round}")
+        first, last = self.first_round, t + self.last_round
+        if "round" in self.defaults and not first <= self.round <= last:
+            none = f" (none at t={t})" if first > last else ""
+            raise ValueError(f"deviation round must be in {first}..{last}"
+                             f"{none}, got {self.round}")
         if "case" in self.defaults and not 1 <= self.case <= 8:
             raise ValueError(f"lie sub-case must be in 1..8, got {self.case}")
         if "targets" in self.params and (
@@ -248,6 +251,16 @@ class LinkStateLie(Deviation):
     type_id = 6
     defaults = {"round": 3, "case": 1}
     last_round = 3      # round t+4 messages carry no table
+    # The first round each sub-case's lie can act in: the round-1 table is
+    # empty, an own link's report reaches the table for round 2 and a
+    # foreign link's one relay hop later, for round 3; sub-case 7 lowers a
+    # foreign failure round of at least 2, so it needs round 4.
+    first_rounds = {1: 2, 2: 2, 3: 3, 4: 3, 5: 2, 6: 3, 7: 4, 8: 2}
+
+    @property
+    def first_round(self):
+        # a case outside 1..8 is rejected by bind
+        return self.first_rounds.get(self.case, 1)
 
     def mutate_outgoing(self, st, r, msgs):
         if r != self.round or not msgs:
@@ -312,8 +325,6 @@ class LinkStateLie(Deviation):
             link, entry = pick
             ro = entry[0][1]
             z = link[0]
-            if ro + 1 > r - 1:
-                return None
             return link, ((R, ro, z, self.rng.randrange(n)), (z, ro + 1))
         if case == 5:
             pick = self._pick(st, True, R) or self._pick(st, True, X)
@@ -347,6 +358,7 @@ class WrongRandomRelay(LinkStateLie):
 
     type_id = 7
     defaults = {"round": 3}
+    first_round = 3     # a foreign correct-report arrives one relay hop late
 
     def _build_lie(self, st, r):
         pick = self._pick(st, False, R)

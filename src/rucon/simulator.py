@@ -110,6 +110,7 @@ class RunConfig:
     trace: object = None           # list-like sink for trace records
 
     def validate(self):
+        """Reject a config no run can use, then bind its deviation to it."""
         if self.t < 0:
             raise ValueError(f"t must be at least 0, got t={self.t}")
         if not (self.n >= 3 and self.n > 2 * self.t + 1):
@@ -128,6 +129,8 @@ class RunConfig:
                              f"outside 1..{self.n}")
         if self.pattern is not None:
             self.pattern.validate(self.n, self.t)
+        if self.deviation is not None:
+            self.deviation.bind(self.n, self.t, len(self.value_domain))
 
 
 @dataclass
@@ -172,13 +175,13 @@ def _decision_label(decision, domain):
 
 
 class Execution:
-    """One run, stepped a phase at a time.
+    """One run, stepped a round at a time by steps().
 
     Every agent follows a strategy: the deviant follows the configured
-    deviation, every other agent the honest base Deviation, whose hooks
-    change nothing. run() steps all rounds; a caller that needs the agents
-    between a round's receive and compute phases calls exchange(r) and
-    compute(r) itself.
+    deviation, bound to the run by RunConfig.validate, and every other
+    agent the honest base Deviation, whose hooks change nothing. A caller
+    that needs the agents between a round's receive and compute phases
+    reads them where steps() pauses.
     """
 
     def __init__(self, config: RunConfig):
@@ -203,7 +206,6 @@ class Execution:
 
         honest = Deviation()
         self.dev = config.deviation or honest
-        self.dev.bind(n=n, t=t, domain_size=len(self.domain))
         self.dev.after_init(self.agents[self.dev.agent])
         self.strategies = dict.fromkeys(self.agents, honest)
         self.strategies[self.dev.agent] = self.dev
@@ -224,46 +226,47 @@ class Execution:
                               "phase": phase, "agent": agent, "event": event,
                               "payload": payload})
 
-    def exchange(self, r: int):
-        """Round r's send, delivery and receive phases."""
-        # Round r's phase-2 outcome and phase-3 plan of each shipped table,
-        # and the round's intern map of table entries. None of it depends on
-        # the receiver, so every receiver shares it; see
-        # verification.verify_and_update.
-        self.checked = RoundMemo()
-        outboxes = {}
-        for i, st in sorted(self.agents.items()):
-            msgs = self.strategies[i].mutate_outgoing(st, r, send_phase(st, r))
-            outboxes[i] = msgs
-            self._emit(r, "send", i, "sent", {"to": sorted(msgs)})
-        inboxes = deliver(r, outboxes, self.pattern, self.config.n)
-        for i, st in sorted(self.agents.items()):
-            strategy = self.strategies[i]
-            inbox = strategy.filter_inbox(st, r, inboxes[i])
-            before = st.decision
-            receive_phase(st, r, inbox)
-            strategy.after_receive(st, r)
-            self._emit(r, "receive", i, "received",
-                       {"from": sorted(inbox), "lost": sorted(st.lost),
-                        "decision": _decision_label(st.decision, self.domain)})
-            if st.decision is not before and st.decision == BOT:
-                self._emit(r, "receive", i, "inconsistency", _error_payload(st))
-
-    def compute(self, r: int):
-        """Round r's compute phase, then the invariant monitor."""
-        for i, st in sorted(self.agents.items()):
-            before = st.decision
-            compute_phase(st, r, self.checked)
-            self.strategies[i].after_compute(st, r)
-            if st.decision is not before and st.decision == BOT:
-                self._emit(r, "compute", i, "inconsistency", _error_payload(st))
-            if r == self.config.t + 3 and st.m_star is not None:
-                self._emit(r, "compute", i, "election",
-                           {"m_star": st.m_star, "D": list(st.d_set),
-                            "elected": (_decode(self.domain, st.elected)
-                                        if st.elected is not None else None)})
-        if self.monitor is not None:
-            self.monitor.after_round(self.agents, r)
+    def steps(self):
+        """Run every round, pausing after each receive phase: yield r with
+        round r's received tables still pending, then, when resumed, run
+        round r's compute phase and the invariant monitor."""
+        agents, strategies, emit = self.agents, self.strategies, self._emit
+        for r in self.rounds:
+            # Round r's phase-2 outcome and phase-3 plan of each shipped
+            # table, and the round's intern map of table entries. None of it
+            # depends on the receiver, so every receiver shares it; see
+            # verification.verify_and_update.
+            self.checked = RoundMemo()
+            outboxes = {}
+            for i, st in sorted(agents.items()):
+                msgs = strategies[i].mutate_outgoing(st, r, send_phase(st, r))
+                outboxes[i] = msgs
+                emit(r, "send", i, "sent", {"to": sorted(msgs)})
+            inboxes = deliver(r, outboxes, self.pattern, self.config.n)
+            for i, st in sorted(agents.items()):
+                inbox = strategies[i].filter_inbox(st, r, inboxes[i])
+                before = st.decision
+                receive_phase(st, r, inbox)
+                strategies[i].after_receive(st, r)
+                emit(r, "receive", i, "received",
+                     {"from": sorted(inbox), "lost": sorted(st.lost),
+                      "decision": _decision_label(st.decision, self.domain)})
+                if st.decision is not before and st.decision == BOT:
+                    emit(r, "receive", i, "inconsistency", _error_payload(st))
+            yield r
+            for i, st in sorted(agents.items()):
+                before = st.decision
+                compute_phase(st, r, self.checked)
+                strategies[i].after_compute(st, r)
+                if st.decision is not before and st.decision == BOT:
+                    emit(r, "compute", i, "inconsistency", _error_payload(st))
+                if r == self.config.t + 3 and st.m_star is not None:
+                    emit(r, "compute", i, "election",
+                         {"m_star": st.m_star, "D": list(st.d_set),
+                          "elected": (_decode(self.domain, st.elected)
+                                      if st.elected is not None else None)})
+            if self.monitor is not None:
+                self.monitor.after_round(agents, r)
 
     def result(self) -> RunResult:
         """Decisions, utilities and invariants of the finished run."""
@@ -323,9 +326,8 @@ class Execution:
 
 def run(config: RunConfig) -> RunResult:
     ex = Execution(config)
-    for r in ex.rounds:
-        ex.exchange(r)
-        ex.compute(r)
+    for _ in ex.steps():
+        pass
     return ex.result()
 
 

@@ -398,7 +398,7 @@ class RoundMemo:
                 for link, recv in sorted(table.items())]
 
 
-def verify_and_update(state, received: dict, r: int, checked=None):
+def verify_and_update(state, received: dict, r: int, checked):
     """One round of the full verify-and-update pass for one agent.
 
     state is the checking agent's AgentState; received maps each heard
@@ -409,12 +409,11 @@ def verify_and_update(state, received: dict, r: int, checked=None):
     sender and its table, no receiver state, so every recipient of one
     shipped table gets the same outcome. So does phase 3's plan: a table's
     sort order and the value equality of its entries read only the table.
-    checked, when given, is the RoundMemo shared by all of round r's
-    receivers; each shipped table is checked and planned once, and a hit on
-    an error raises a fresh InconsistencyError with the same fields. Without
-    one, the call uses a private memo, so every table is checked. Phase 3
-    (verify_state and merge_state) reads and writes the checking agent's
-    own state.
+    checked is the RoundMemo that the Execution builds for round r and all
+    its receivers share: each shipped table is checked and planned once,
+    and a hit on an error raises a fresh InconsistencyError with the same
+    fields. Phase 3 (verify_state and merge_state) reads and writes the
+    checking agent's own state.
     """
     n, t, i = state.n, state.t, state.id
     ns, hs = state.ns, state.hs
@@ -442,21 +441,20 @@ def verify_and_update(state, received: dict, r: int, checked=None):
     # Phase 2: message-chain verification per sender, once per shipped
     # table. A structural sweep runs first so the chain checks never
     # dereference a malformed report.
-    memo = RoundMemo() if checked is None else checked
     work = []
     for j in senders:
         table = received[j]
         key = (j, id(table))
-        entry = memo.tables.get(key)
+        entry = checked.tables.get(key)
         if entry is None:
             try:
                 for link, recv in table.items():
                     check_format(n, r, j, link, recv)
                 verify_msg_chain(n, t, r, j, table)
             except InconsistencyError as exc:
-                memo.tables[key] = (table, exc, None)
+                checked.tables[key] = (table, exc, None)
                 raise
-            entry = memo.tables[key] = (table, None, memo.plan(table))
+            entry = checked.tables[key] = (table, None, checked.plan(table))
         err = entry[1]
         if err is not None:
             raise InconsistencyError(err.category, err.rule, err.link,

@@ -3,7 +3,7 @@
 The simulator's run() only reports end-of-run results; verification tests
 need an agent's state exactly as it stands between the receive and compute
 phases, with the received tables still pending. run_agents steps the same
-Execution that run() does and deep-copies every agent at that point.
+Execution.steps() that run() does and deep-copies every agent at its pause.
 """
 
 import copy
@@ -24,11 +24,9 @@ def run_agents(n, t, seed, pattern=None, capture_round=None):
                              values=[("a", "b", "c")[i % 3] for i in range(n)],
                              check_invariants=False))
     snapshot = None
-    for r in ex.rounds:
-        ex.exchange(r)
+    for r in ex.steps():
         if r == capture_round:
             snapshot = copy.deepcopy(ex.agents)
-        ex.compute(r)
     return ex.agents, snapshot
 
 

@@ -7,6 +7,7 @@ import pytest
 from rucon.agent import (BOT, NO_DECISION, UNDECIDED, build_message,
                          compute_phase, init_agent, receive_phase,
                          send_phase)
+from rucon.verification import RoundMemo
 from conftest import run_agents
 
 
@@ -48,7 +49,7 @@ def test_init_validates_parameters():
     with pytest.raises(ValueError):
         init_agent(5, 4, 1, 0, random.Random(0))    # id out of range
     with pytest.raises(ValueError):
-        init_agent(1, 5, 1, 2**40, random.Random(0), p=7)
+        init_agent(1, 5, 1, 2**40, random.Random(0))    # outside the field
 
 
 def test_round1_message_payload():
@@ -134,7 +135,7 @@ def test_final_round_consensus_union():
             3: {"sender": 3, "round": 4, "consensus": frozenset({1})}}
     receive_phase(st, 4, msgs)
     assert st.consensus == {1}
-    compute_phase(st, 4)
+    compute_phase(st, 4, RoundMemo())
     assert st.decision == ("value", 1)
 
 
@@ -144,7 +145,7 @@ def test_conflicting_consensus_sets_mean_bot():
     msgs = {2: {"sender": 2, "round": 4, "consensus": frozenset({0})},
             3: {"sender": 3, "round": 4, "consensus": frozenset({1})}}
     receive_phase(st, 4, msgs)
-    compute_phase(st, 4)
+    compute_phase(st, 4, RoundMemo())
     assert st.decision == BOT
 
 
@@ -154,7 +155,7 @@ def test_empty_consensus_means_bot():
                               "consensus": frozenset()},
                           3: {"sender": 3, "round": 4,
                               "consensus": frozenset()}})
-    compute_phase(st, 4)
+    compute_phase(st, 4, RoundMemo())
     assert st.decision == BOT
 
 
@@ -162,7 +163,7 @@ def test_decided_agent_is_inert():
     st = _fresh()
     st.decision = NO_DECISION
     receive_phase(st, 2, {})
-    compute_phase(st, 2)
+    compute_phase(st, 2, RoundMemo())
     assert st.decision == NO_DECISION
 
 

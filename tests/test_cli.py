@@ -98,9 +98,12 @@ def test_batch_honours_values_and_pattern(tmp_path, capsys):
                for line in lines)
 
 
-def test_deviate_unknown_type():
+def test_deviate_unknown_type(capsys):
     assert main(["deviate", "--n", "5", "--t", "1", "--seed", "0",
                  "--type", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown deviation type 99\n"
 
 
 def test_deviate_no_gain(capsys):

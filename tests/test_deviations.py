@@ -2,6 +2,7 @@
 
 import pytest
 
+from rucon.cli import main
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.simulator import (FailurePattern, RunConfig, deviation_experiment,
                              run)
@@ -70,6 +71,47 @@ def test_link_state_lies_detected(case):
         detected += res.deviation_applied and "bot" in res.decisions.values()
     assert applied > 0
     assert detected > 0
+
+
+# Each lie's first round, with a pattern under which it acts there at
+# (5,1), seed 0. Sub-cases 2 and 8 need a faulty own link, 4 and 7 a
+# foreign fault that is relayed to the deviant.
+FIRST_ROUNDS = [
+    (6, {"case": 1}, 2, FailurePattern()),
+    (6, {"case": 2}, 2, FailurePattern(send_om={(4, 1): 1})),
+    (6, {"case": 3}, 3, FailurePattern()),
+    (6, {"case": 4}, 3, FailurePattern(send_om={(4, 3): 1, (4, 5): 1})),
+    (6, {"case": 5}, 2, FailurePattern()),
+    (6, {"case": 6}, 3, FailurePattern()),
+    (6, {"case": 7}, 4, FailurePattern(send_om={(4, 3): 2, (4, 5): 2})),
+    (6, {"case": 8}, 2, FailurePattern(send_om={(4, 1): 1})),
+    (7, {}, 3, FailurePattern()),
+]
+
+
+@pytest.mark.parametrize("type_id,params,first,pattern", FIRST_ROUNDS)
+def test_lie_acts_from_its_first_round(type_id, params, first, pattern,
+                                       capsys):
+    dev = make_deviation(type_id, agent=1, seed=0, round=first, **params)
+    assert _dev_run(dev, pattern=pattern).deviation_applied
+    # one round earlier the lie could never act, so it is rejected
+    early = make_deviation(type_id, agent=1, seed=0, round=first - 1,
+                           **params)
+    with pytest.raises(ValueError, match=f"must be in {first}..4"):
+        _dev_run(early, pattern=pattern)
+    argv = ["deviate", "--n", "5", "--t", "1", "--seed", "0", "--runs", "1",
+            "--type", str(type_id), "--param", f"round={first - 1}"]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_lie_without_a_round_at_t0():
+    # sub-case 7 needs a round-4 table, and at t=0 round 3 ships the last
+    for round_ in (1, 2, 3):
+        with pytest.raises(ValueError, match=r"4\.\.3 \(none at t=0\)"):
+            _dev_run(make_deviation(6, case=7, round=round_), n=3, t=0)
 
 
 def test_derandomization_is_silent_but_harmless():

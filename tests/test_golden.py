@@ -6,15 +6,16 @@ the run's input. The study group's digest covers every ExperimentSummary
 field of the paired deviation study, type by type. The run digests were
 recorded before the round loop moved into the Execution stepper, the study
 digest before the study stopped sampling its own run inputs, and the lies
-digests (every type-6 sub-case and type 7 at every round that ships a
-table, which reach the round-relation and merge rules) before the merge
-table checked and merged each case in one dispatch, so a refactor that
-changes what any run computes or records fails here. The fixtures digest
-covers the full error (category, rule, link, round and text) that every
-rule fixture raises on its mutated input, recorded before the message-chain
-bounds were stated once. The deviations-agent3 group (every type with
-deviant agent 3 and the invariant monitor on) was recorded before the
-receiver's history of who it heard was stored once, in its lost map.
+digests (every type-6 sub-case and type 7 at every round from the first
+its lie can act in to the last that ships a table, which reach the
+round-relation and merge rules) before a deviation rejected a round its
+lie can never act in, so a refactor that changes what any run computes or
+records fails here. The fixtures digest covers the full error (category,
+rule, link, round and text) that every rule fixture raises on its mutated
+input, recorded before the message-chain bounds were stated once. The
+deviations-agent3 group (every type with deviant agent 3 and the invariant
+monitor on) was recorded before the receiver's history of who it heard was
+stored once, in its lost map.
 """
 
 import dataclasses
@@ -31,6 +32,8 @@ from rule_fixtures import FIXTURES
 HONEST_SEEDS = range(4)
 DEVIATION_SEEDS = range(2)
 STUDY_RUNS = 5
+# type 6: the first round each sub-case's lie can act in (type 7: round 3)
+LIE_FIRST_ROUND = {1: 2, 2: 2, 3: 3, 4: 3, 5: 2, 6: 3, 7: 4, 8: 2}
 
 GOLDEN = {
     "honest-5-1":
@@ -46,9 +49,9 @@ GOLDEN = {
     "deviations-7-2":
         "107e49411a80bcdf788f1d55228919400d654402fcba4313fcc23ca41706008d",
     "lies-5-1":
-        "6363f8f68f0f53cd3d97e81af2b677ec2ba79fd8c1f947bb342d8bd9612c3c2d",
+        "b92b8f07cf9743f934d102a17ef74997321c364c806e2ff02c19af871e3169e8",
     "lies-7-2":
-        "60e352731448336dfe9f608e4b9dc3337720a7b28fcc6aae6ec7f6a25ed4dd9b",
+        "33f2abedea34535084dcba50ee7f76a23c939c2b3a1cb39455a9b7edfda8fec2",
     "fixtures":
         "b1f4082489ff8530c463800e64636617687f2c3b6b193e811db2cb620393fa4a",
     "study-5-1":
@@ -68,10 +71,11 @@ def _configs(group):
     if kind.startswith("deviations"):
         devs = [(tid, {}) for tid in sorted(DEVIATION_TYPES)]
     else:
-        rounds = range(2, t + 4)
-        devs = ([(6, {"case": c, "round": r})
-                 for c in range(1, 9) for r in rounds]
-                + [(7, {"round": r}) for r in rounds])
+        # each lie from the first round it can act in to round t+3, the
+        # last that ships a table
+        devs = ([(6, {"case": c, "round": r}) for c in range(1, 9)
+                 for r in range(LIE_FIRST_ROUND[c], t + 4)]
+                + [(7, {"round": r}) for r in range(3, t + 4)])
     return [RunConfig(n=n, t=t, seed=s, sample_pattern=True,
                       check_invariants=checked,
                       deviation=make_deviation(tid, agent=agent, seed=s,

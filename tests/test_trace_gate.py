@@ -2,13 +2,15 @@
 
 perfbench/layers.py wraps rucon's module-level functions by name; a traced
 function that is renamed, deleted or called past its module attribute gets
-zero calls and fails the benchmark's required-layer gate. This test runs the
-same gate on one checked honest run, so such a change fails here too.
+zero calls and fails the benchmark's required-layer gate. These tests run
+the same gate on one checked honest run and on one paired deviation study,
+so such a change fails here too.
 """
 
 import importlib.util
 from pathlib import Path
 
+import rucon.deviations as deviations
 import rucon.simulator as simulator
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -27,4 +29,14 @@ def test_trace_gate_reaches_every_required_layer():
         simulator.run(simulator.RunConfig(n=5, t=1, seed=0,
                                           sample_pattern=True))
     assert tracer.missing("honest-n5-checked") == []
+    assert tracer.restored()
+
+
+def test_trace_gate_reaches_every_deviation_study_layer():
+    layers = _layers()
+    with layers.Tracer() as tracer:
+        simulator.deviation_experiment(
+            simulator.RunConfig(n=5, t=1, seed=0),
+            lambda: deviations.make_deviation(6, agent=1, seed=0), 1)
+    assert tracer.missing("deviation-study") == []
     assert tracer.restored()

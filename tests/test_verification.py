@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -176,7 +177,7 @@ def test_case10_absent_entry_skipped():
     _, snap = run_agents(3, 0, seed=2, capture_round=2)
     st = snap[1]
     assert (1, 3) not in st.pending_ns[2]
-    verify_and_update(st, st.pending_ns, 2)
+    verify_and_update(st, st.pending_ns, 2, RoundMemo())
     assert st.ns[(1, 3)][0][:3] == (R, 2, 1)
 
 
@@ -184,7 +185,7 @@ def test_case10_absent_entry_skipped():
 
 def test_verify_and_update_direct_detections(captured_round3):
     st = copy.deepcopy(captured_round3[1])
-    verify_and_update(st, st.pending_ns, 3)
+    verify_and_update(st, st.pending_ns, 3, RoundMemo())
     for j in (2, 3, 4, 5):
         entry = st.ns[(min(1, j), max(1, j))]
         assert entry[0][:3] == (R, 3, 1)
@@ -195,7 +196,7 @@ def test_verify_and_update_flags_bad_link_key(captured_round3):
     st = copy.deepcopy(captured_round3[1])
     st.pending_ns[2][(2, 1)] = st.pending_ns[2].pop((1, 2))
     with pytest.raises(InconsistencyError) as exc:
-        verify_and_update(st, st.pending_ns, 3)
+        verify_and_update(st, st.pending_ns, 3, RoundMemo())
     assert exc.value.category == "format"
 
 
@@ -207,7 +208,7 @@ def test_verify_and_update_flags_tampered_relay(captured_round3):
     t_a, t_b = st.pending_ns[2][link]
     st.pending_ns[2][link] = ((t_a[0], t_a[1], t_a[2], (t_a[3] + 1) % 5), t_b)
     with pytest.raises(InconsistencyError) as exc:
-        verify_and_update(st, st.pending_ns, 3)
+        verify_and_update(st, st.pending_ns, 3, RoundMemo())
     assert exc.value.category in ("random", "source")
 
 
@@ -223,14 +224,15 @@ def test_shipped_tables_are_never_edited(n, t, type_id):
                else make_deviation(type_id, agent=1, seed=seed))
         ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
                                  deviation=dev, check_invariants=False))
-        for r in ex.rounds:
-            ex.exchange(r)
+        shipped = []
+        # round r's tables are checked at the next pause, after round r's
+        # compute phase and round r+1's receive phase, and after the run
+        for r in chain(ex.steps(), ["end"]):
+            for table, frozen in shipped:
+                assert table == frozen, (type_id, seed, r)
             shipped = [(table, copy.deepcopy(table))
                        for st in ex.agents.values()
                        for table in st.pending_ns.values()]
-            ex.compute(r)
-            for table, frozen in shipped:
-                assert table == frozen, (type_id, seed, r)
 
 
 @pytest.fixture
@@ -276,14 +278,15 @@ def test_memo_checks_each_table_once(chain_walks):
 def test_memo_plans_each_passed_table_once():
     ex = Execution(RunConfig(n=7, t=2, seed=0, sample_pattern=True,
                              check_invariants=False))
-    for r in ex.rounds:
-        ex.exchange(r)
+    rounds = []
+    for r in ex.steps():
+        # the tables round r's compute phase verifies, and its memo
         shipped = {(j, id(table)): table
                    for st in ex.agents.values()
                    if st.decision is UNDECIDED and r <= ex.config.t + 3
                    for j, table in st.pending_ns.items()}
-        ex.compute(r)
-        memo = ex.checked
+        rounds.append((r, ex.checked, shipped))
+    for r, memo, shipped in rounds:
         assert memo.tables.keys() == shipped.keys(), r
         uids = {}
         for key, (table, err, plan) in memo.tables.items():
@@ -303,8 +306,9 @@ def _result_fields(res):
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
 def test_memo_is_transparent(n, t, monkeypatch, tmp_path):
     # Sharing phase 2 and the phase-3 plans between receivers changes
-    # nothing a run computes or records: every compute phase given no memo
-    # checks and plans each table itself, with the same trace and result.
+    # nothing a run computes or records: every compute phase given a fresh
+    # memo of its own checks and plans each table itself, with the same
+    # trace and result.
     def configs():
         for type_id in [None] + sorted(DEVIATION_TYPES):
             for seed in range(2):
@@ -325,7 +329,7 @@ def test_memo_is_transparent(n, t, monkeypatch, tmp_path):
     shared = traced("shared")
     real = simulator.compute_phase
     monkeypatch.setattr(simulator, "compute_phase",
-                        lambda state, r, checked=None: real(state, r))
+                        lambda state, r, checked: real(state, r, RoundMemo()))
     private = traced("private")
     assert len(private) == len(shared) == 22
     for k, (a, b) in enumerate(zip(shared, private)):
