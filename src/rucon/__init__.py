@@ -1,12 +1,11 @@
 """Deterministic simulator for rational consensus under omission failures."""
 
-from .errors import InconsistencyError, ProtocolViolationError
+from .errors import InconsistencyError
 from .simulator import (FailurePattern, RunConfig, RunResult,
                         deviation_experiment, run, sample_blind_pattern)
 from .deviations import make_deviation
 
 __all__ = [
-    "FailurePattern", "InconsistencyError", "ProtocolViolationError",
-    "RunConfig", "RunResult", "deviation_experiment", "make_deviation",
-    "run", "sample_blind_pattern",
+    "FailurePattern", "InconsistencyError", "RunConfig", "RunResult",
+    "deviation_experiment", "make_deviation", "run", "sample_blind_pattern",
 ]

@@ -11,11 +11,10 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import InconsistencyError, ProtocolViolationError
+from .errors import InconsistencyError
 from .links import last_update, link_of
-from .sharing import (DEFAULT_PRIME, LinearPolynomial, Share,
-                      ShareInconsistencyError, make_polynomial, reconstruct,
-                      share_for)
+from .sharing import (DEFAULT_PRIME, LinearPolynomial, Share, make_polynomial,
+                      reconstruct, share_for)
 from .verification import register_random, register_xrandom, verify_and_update
 from . import decision as decision_mod
 
@@ -26,15 +25,6 @@ NO_DECISION = ("no_decision",)
 
 def value_decision(v):
     return ("value", v)
-
-
-class MalformedMessageError(Exception):
-    """An inbound message does not have the shape this round requires."""
-
-
-# Every error a phase answers with the punishment decision.
-PUNISHABLE = (MalformedMessageError, InconsistencyError,
-              ProtocolViolationError, ShareInconsistencyError)
 
 
 @dataclass
@@ -135,46 +125,49 @@ def send_phase(state: AgentState, r: int) -> dict:
     return msgs
 
 
-def _require(cond, what):
+def _require(cond, rule, what):
     if not cond:
-        raise MalformedMessageError(what)
+        raise InconsistencyError("envelope", rule, detail=what)
 
 
 def _ingest(state: AgentState, j: int, r: int, msg: dict):
     n, t, p = state.n, state.t, state.p
     _require(isinstance(msg, dict) and msg.get("sender") == j
-             and msg.get("round") == r, "bad envelope")
+             and msg.get("round") == r, "header", "bad envelope")
     if r <= t + 3:
         rand = msg.get("rand")
-        _require(isinstance(rand, int) and 0 <= rand < n, "bad message random")
+        _require(isinstance(rand, int) and 0 <= rand < n, "rand",
+                 "bad message random")
         register_random(state.randoms, j, r, rand)
         ns = msg.get("ns")
-        _require(isinstance(ns, dict), "missing link-state table")
+        _require(isinstance(ns, dict), "ns", "missing link-state table")
         state.pending_ns[j] = ns
     if r <= t + 2:
         xr = msg.get("xr")
-        _require(isinstance(xr, dict) and len(xr) == n - 1, "bad evidence bits")
+        _require(isinstance(xr, dict) and len(xr) == n - 1, "xr",
+                 "bad evidence bits")
         for link, bit in xr.items():
             _require(isinstance(link, tuple) and len(link) == 2 and j in link
-                     and bit in (0, 1), "bad evidence bit")
+                     and bit in (0, 1), "xr-bit", "bad evidence bit")
             register_xrandom(state.xrandoms, j, r, link, state.id, bit)
     if r == 1:
         q, b = msg.get("q"), msg.get("b")
         _require(isinstance(q, int) and 0 <= q < p
-                 and isinstance(b, int) and 0 <= b < p, "bad shares")
+                 and isinstance(b, int) and 0 <= b < p, "shares", "bad shares")
         state.shares.setdefault(j, {})[state.id] = (q, b)
     elif r == t + 3:
         shares = msg.get("shares")
-        _require(isinstance(shares, dict), "missing forwarded shares")
+        _require(isinstance(shares, dict), "forwarded",
+                 "missing forwarded shares")
         for gen, pair in shares.items():
             _require(isinstance(gen, int) and 1 <= gen <= n and gen != state.id
                      and isinstance(pair, tuple) and len(pair) == 2
                      and all(isinstance(x, int) and 0 <= x < p for x in pair),
-                     "bad forwarded share")
+                     "forwarded-share", "bad forwarded share")
             state.shares.setdefault(gen, {})[j] = pair
     elif r == t + 4:
         cons = msg.get("consensus")
-        _require(isinstance(cons, frozenset), "bad consensus set")
+        _require(isinstance(cons, frozenset), "consensus", "bad consensus set")
         state.consensus |= cons
 
 
@@ -192,7 +185,7 @@ def receive_phase(state: AgentState, r: int, inbox: dict):
             continue
         try:
             _ingest(state, j, r, msg)
-        except PUNISHABLE as exc:
+        except InconsistencyError as exc:
             state.decision = BOT
             state.last_error = exc
             return
@@ -203,8 +196,8 @@ def receive_phase(state: AgentState, r: int, inbox: dict):
 def _finalize(state: AgentState):
     """End of round t+3: settle the history, elect, fill the consensus set.
 
-    Raises ProtocolViolationError on a history without a decision round and
-    ShareInconsistencyError on shares that lie on no common line.
+    Raises InconsistencyError on a history without a decision round and on
+    shares that lie on no common line.
     """
     timeline = decision_mod.status_timeline(
         last_update(state.ns, state.hs, state.t + 3), state.n, state.t)
@@ -236,19 +229,20 @@ def compute_phase(state: AgentState, r: int, checked):
     if state.decision is not UNDECIDED:
         return
     t = state.t
-    if r <= t + 3:
-        try:
+    try:
+        if r <= t + 3:
             verify_and_update(state, state.pending_ns, r, checked)
             state.pending_ns = {}
             if r <= t + 2:
                 _gen_randoms(state, r + 1)
             else:
                 _finalize(state)
-        except PUNISHABLE as exc:
-            state.decision = BOT
-            state.last_error = exc
-    else:
-        if len(state.consensus) == 1:
+        elif len(state.consensus) == 1:
             state.decision = value_decision(next(iter(state.consensus)))
         else:
-            state.decision = BOT
+            raise InconsistencyError(
+                "consensus", "conflict" if state.consensus else "empty",
+                detail=f"consensus set holds {len(state.consensus)} values")
+    except InconsistencyError as exc:
+        state.decision = BOT
+        state.last_error = exc

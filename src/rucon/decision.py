@@ -9,7 +9,7 @@ decision set, and finally the elected value.
 
 from __future__ import annotations
 
-from .errors import ProtocolViolationError
+from .errors import InconsistencyError
 from .links import X, link_of
 
 
@@ -65,15 +65,17 @@ def decision_round(timeline: dict, t: int) -> int:
 
     That is the earliest round immediately preceding a round in which no new
     agent turned faulty. It always lands in 1..t+2 for legal histories; a
-    history without one is a protocol violation.
+    history without one is an inconsistency.
     """
     cleans = clean_rounds(timeline)
     candidates = [c - 1 for c in cleans if c >= 2]
     if not candidates:
-        raise ProtocolViolationError("no fault-quiet round in the history")
+        raise InconsistencyError("decision", "no-quiet-round",
+                                 detail="no fault-quiet round in the history")
     m_star = min(candidates)
     if m_star > t + 2:
-        raise ProtocolViolationError(f"decision round {m_star} beyond {t + 2}")
+        raise InconsistencyError("decision", "late-round",
+                                 detail=f"decision round {m_star} beyond {t + 2}")
     return m_star
 
 

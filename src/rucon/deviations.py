@@ -67,11 +67,12 @@ class Deviation:
                              f"{none}, got {self.round}")
         if "case" in self.defaults and not 1 <= self.case <= 8:
             raise ValueError(f"lie sub-case must be in 1..8, got {self.case}")
-        if "targets" in self.params and (
-                not isinstance(self.targets, (list, tuple)) or any(
-                    type(j) is not int or not 1 <= j <= n
-                    for j in self.targets)):
-            raise ValueError(f"deviation targets must be agents in 1..{n}, "
+        if self.params.get("targets") is not None and (
+                not isinstance(self.targets, (list, tuple)) or not self.targets
+                or any(type(j) is not int or not 1 <= j <= n or j == self.agent
+                       for j in self.targets)):
+            raise ValueError(f"deviation targets must be a non-empty list of "
+                             f"agents in 1..{n} but {self.agent}, "
                              f"got {self.targets!r}")
         self.n, self.t, self.domain_size = n, t, domain_size
 

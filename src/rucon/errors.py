@@ -1,14 +1,23 @@
-"""Shared error types for the protocol library."""
+"""The one error type the protocol answers with punishment."""
 
 from __future__ import annotations
 
 
 class InconsistencyError(Exception):
-    """A received message failed one of the verification rules.
+    """A message, or what an agent computed from its messages, broke a rule.
 
     The protocol response to any inconsistency is the punishment decision
-    (bottom). `category` is one of format/source/random/round/chain/merge,
-    `rule` names the specific rule that fired so tests can address it.
+    (bottom). `category` and `rule` name the rule that fired:
+      envelope/*          a message lacks its round's shape (agent._ingest);
+                          the rules: header, rand, ns, xr, xr-bit, shares,
+                          forwarded, forwarded-share, consensus
+      format, source, random, round, chain, merge
+                          link-state rules, listed in verification.py
+      share/off-line      relayed shares on no line (sharing.reconstruct)
+      decision/no-quiet-round, decision/late-round
+                          no legal decision round (decision.decision_round)
+      consensus/empty, consensus/conflict
+                          the final consensus set is not one value
     """
 
     def __init__(self, category: str, rule: str, link=None, round_=None, detail: str = ""):
@@ -23,7 +32,3 @@ class InconsistencyError(Exception):
         if round_ is not None:
             where += f" round={round_}"
         super().__init__(f"[{category}/{rule}]{where} {detail}".rstrip())
-
-
-class ProtocolViolationError(Exception):
-    """An internal state arose that is impossible in honest executions."""

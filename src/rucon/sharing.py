@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InconsistencyError
+
 # Default modulus: the Mersenne prime 2^31 - 1. Tests use small primes
 # (7, 101) for exhaustive checks.
 DEFAULT_PRIME = 2**31 - 1
@@ -19,10 +21,6 @@ DEFAULT_PRIME = 2**31 - 1
 
 class InsufficientSharesError(ValueError):
     """Fewer than two distinct shares were supplied."""
-
-
-class ShareInconsistencyError(Exception):
-    """Supplied shares do not all lie on one linear polynomial."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def reconstruct(shares, p: int = DEFAULT_PRIME) -> int:
 
     All shares must lie on a single degree-1 polynomial; with more than two
     shares, every extra share is checked against the line fixed by the first
-    two and any mismatch raises ShareInconsistencyError.
+    two and any mismatch raises InconsistencyError share/off-line.
     """
     shares = sorted(shares, key=lambda s: s.owner)
     owners = [s.owner for s in shares]
@@ -86,8 +84,8 @@ def reconstruct(shares, p: int = DEFAULT_PRIME) -> int:
     secret = (a.value - slope * a.owner) % p
     for s in shares[2:]:
         if (secret + slope * s.owner) % p != s.value:
-            raise ShareInconsistencyError(
-                f"share at x={s.owner} does not lie on the polynomial "
-                f"through x={a.owner}, x={b.owner}"
-            )
+            raise InconsistencyError(
+                "share", "off-line",
+                detail=f"share at x={s.owner} does not lie on the polynomial "
+                f"through x={a.owner}, x={b.owner}")
     return secret

@@ -333,11 +333,8 @@ def run(config: RunConfig) -> RunResult:
 
 def _error_payload(st):
     err = st.last_error
-    payload = {"agent": st.id, "error": str(err)}
-    if hasattr(err, "category"):
-        payload["category"] = err.category
-        payload["rule"] = err.rule
-    return payload
+    return {"agent": st.id, "error": str(err), "category": err.category,
+            "rule": err.rule}
 
 
 def _basic_invariants(decisions, values):

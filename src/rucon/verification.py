@@ -16,6 +16,8 @@ Rule identifiers:
   format/*               -- structural validity of a report
   random/*               -- report payloads must match registered randoms
   merge/case2            -- a faulty report for a link observed correct now
+
+errors.InconsistencyError lists the categories raised outside this module.
 """
 
 from __future__ import annotations

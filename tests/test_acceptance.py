@@ -13,8 +13,7 @@ import pytest
 
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
-from rucon.sharing import (Share, ShareInconsistencyError, make_polynomial,
-                           reconstruct, share_for)
+from rucon.sharing import Share, make_polynomial, reconstruct, share_for
 from rucon.simulator import RunConfig, deviation_experiment, run
 from rucon.cli import main as cli_main
 from rule_fixtures import FIXTURES
@@ -98,8 +97,10 @@ def test_share_arithmetic_exhaustive():
                     for s in range(p)}
             if seen != set(range(p)):
                 bad.append((p, secret, "share not uniform over slopes"))
-        with pytest.raises(ShareInconsistencyError):
+        with pytest.raises(InconsistencyError) as exc:
             reconstruct([Share(1, 1), Share(2, 2), Share(3, 4)], p=p)
+        if (exc.value.category, exc.value.rule) != ("share", "off-line"):
+            bad.append((p, "off-line shares raised", str(exc.value)))
     _report("secret sharing: exhaustive split/reconstruct over GF(7) and "
             "GF(101), single shares uniform", not bad, f"first: {bad[:1]}")
 

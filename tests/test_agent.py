@@ -125,7 +125,7 @@ def test_malformed_message_means_bot():
     inbox[3] = {"sender": 3, "round": 1, "rand": "nope"}
     receive_phase(fresh, 1, inbox)
     assert fresh.decision == BOT
-    assert fresh.last_error is not None
+    assert str(fresh.last_error) == "[envelope/rand] bad message random"
 
 
 def test_final_round_consensus_union():
@@ -147,6 +147,8 @@ def test_conflicting_consensus_sets_mean_bot():
     receive_phase(st, 4, msgs)
     compute_phase(st, 4, RoundMemo())
     assert st.decision == BOT
+    assert (st.last_error.category, st.last_error.rule) == ("consensus",
+                                                            "conflict")
 
 
 def test_empty_consensus_means_bot():
@@ -157,6 +159,8 @@ def test_empty_consensus_means_bot():
                               "consensus": frozenset()}})
     compute_phase(st, 4, RoundMemo())
     assert st.decision == BOT
+    assert (st.last_error.category, st.last_error.rule) == ("consensus",
+                                                            "empty")
 
 
 def test_decided_agent_is_inert():

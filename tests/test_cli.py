@@ -132,6 +132,9 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path, capsys):
     assert main(base + ["--type", "all", "--agent", "9"]) == 2
     assert main(base + ["--type", "5", "--param", "round=abc"]) == 2
     assert main(base + ["--type", "1", "--param", "targets=[9]"]) == 2
+    # a target list must name at least one peer of the deviant
+    assert main(base + ["--type", "4", "--param", "targets=[]"]) == 2
+    assert main(base + ["--type", "8", "--param", "targets=[1]"]) == 2
     assert main(base + ["--type", "10", "--values", "z,z,z,z,z"]) == 2
     # type 6 has eight lie sub-cases
     assert main(base + ["--type", "6", "--param", "case=9"]) == 2
@@ -156,6 +159,8 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path, capsys):
     assert main(base + ["--type", "10", "--pattern", str(pattern)]) == 2
     # each is rejected before the header line
     assert capsys.readouterr().out == ""
+    # null, the documented default, lets the type pick its own targets
+    assert main(base + ["--type", "1", "--param", "targets=null"]) == 0
 
 
 def test_deviate_honours_values(capsys):

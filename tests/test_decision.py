@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from rucon.decision import (agent_status, clean_rounds, decision_round,
                             decision_set, elect, status_timeline)
-from rucon.errors import ProtocolViolationError
+from rucon.errors import InconsistencyError
 from rucon.links import X, link_of
 
 
@@ -77,8 +77,19 @@ def test_decision_round_without_quiet_round():
     # a history with a new faulty agent in every round has no usable
     # quiet round; unreachable honestly, so the timeline is built by hand
     timeline = {r: ({r}, set(range(1, r + 1))) for r in range(1, 5)}
-    with pytest.raises(ProtocolViolationError):
+    with pytest.raises(InconsistencyError) as exc:
         decision_round(timeline, t=1)
+    assert (exc.value.category, exc.value.rule) == ("decision",
+                                                    "no-quiet-round")
+
+
+def test_decision_round_past_t_plus_2():
+    # the only quiet round follows round t+3, a history no run can settle
+    timeline = {r: ({r}, set(range(1, r + 1))) for r in range(1, 5)}
+    timeline[5] = (set(), set(range(1, 5)))
+    with pytest.raises(InconsistencyError) as exc:
+        decision_round(timeline, t=1)
+    assert (exc.value.category, exc.value.rule) == ("decision", "late-round")
 
 
 def test_clean_rounds():

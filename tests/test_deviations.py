@@ -4,8 +4,9 @@ import pytest
 
 from rucon.cli import main
 from rucon.deviations import DEVIATION_TYPES, make_deviation
-from rucon.simulator import (FailurePattern, RunConfig, deviation_experiment,
-                             run)
+from rucon.errors import InconsistencyError
+from rucon.simulator import (Execution, FailurePattern, RunConfig,
+                             deviation_experiment, run)
 
 
 def _dev_run(dev, seed=0, n=5, t=1, **cfg):
@@ -161,3 +162,37 @@ def test_experiment_pairs_same_environment():
         base, lambda: make_deviation(10, agent=1, seed=0), runs=10)
     assert (s1.mean_honest, s1.mean_deviant) == (s2.mean_honest,
                                                  s2.mean_deviant)
+
+
+def test_every_bot_names_its_rule():
+    # every type at (5,1) and (7,2) over 20 seeds, deviant agent 1: each
+    # honest bot names the rule that fired, in the agent, the trace and the
+    # result
+    bots = 0
+    for n, t in ((5, 1), (7, 2)):
+        for tid in sorted(DEVIATION_TYPES):
+            for seed in range(20):
+                trace = []
+                ex = Execution(RunConfig(
+                    n=n, t=t, seed=seed, sample_pattern=True,
+                    check_invariants=False, trace=trace,
+                    deviation=make_deviation(tid, agent=1, seed=seed)))
+                for _ in ex.steps():
+                    pass
+                res = ex.result()
+                where = (n, t, tid, seed)
+                for rec in trace:
+                    if rec["event"] == "inconsistency":
+                        assert rec["payload"]["category"], where
+                        assert rec["payload"]["rule"], where
+                for i, label in res.decisions.items():
+                    if label != "bot":
+                        continue
+                    assert i in res.errors, where
+                    if i == 1:
+                        continue
+                    err = ex.agents[i].last_error
+                    assert isinstance(err, InconsistencyError), where
+                    assert err.category and err.rule, where
+                    bots += 1
+    assert bots == 1465

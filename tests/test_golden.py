@@ -15,7 +15,10 @@ rule, link, round and text) that every rule fixture raises on its mutated
 input, recorded before the message-chain bounds were stated once. The
 deviations-agent3 group (every type with deviant agent 3 and the invariant
 monitor on) was recorded before the receiver's history of who it heard was
-stored once, in its lost map.
+stored once, in its lost map. The three deviations groups were re-recorded
+when every punishing error became an InconsistencyError, which changed only
+the errors and the trace's inconsistency events of the runs that end in a
+bottom decision.
 """
 
 import dataclasses
@@ -43,11 +46,11 @@ GOLDEN = {
     "honest-9-3":
         "f76cc036c65207a06d47bd01dbebcf705efc9813501f601f2fe80dc2a38d063d",
     "deviations-5-1":
-        "a01c849b5c662f0b2b13b058b2fa49d53ed0098a16152eff575fe2a780b41c6b",
+        "c2516acbe11a4025bedf4dcd99a35adeddcf4c63a9f0f38c47a0c21e4fb99695",
     "deviations-agent3-5-1":
-        "e050bfbc66025a68fa8b2ce8408a46e6c5d4818204658c3549210b8e5b81cdb9",
+        "ae7a06c69ca0b6cbbccafd4f06d91781fa97e8bd72801fcd7a3c3d3ed8c738c4",
     "deviations-7-2":
-        "107e49411a80bcdf788f1d55228919400d654402fcba4313fcc23ca41706008d",
+        "940b7a0ac8fbb902900d95251125a9e49e1c5fd386a51c944c7247d838faffd3",
     "lies-5-1":
         "b92b8f07cf9743f934d102a17ef74997321c364c806e2ff02c19af871e3169e8",
     "lies-7-2":

@@ -1,0 +1,224 @@
+"""One-field message fuzz: a corrupted message is punished, never a crash.
+
+A test-only deviation makes agent 1 change one field of its round-r
+message to one peer: the envelope, the message random, a link-state table
+key, a report's parts, a source tag, an evidence bit, a round-1 share, a
+forwarded share or the consensus set. Whatever the change, the run must
+finish, and every honest agent that decides bottom must name the rule
+that caught it.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from rucon.deviations import Deviation
+from rucon.errors import InconsistencyError
+from rucon.links import R, X
+from rucon.simulator import Execution, RunConfig
+
+def _entry(table, pick):
+    """One (link, entry) of a non-empty table, in link order."""
+    return sorted(table.items())[pick % len(table)]
+
+
+def _mutate_entry(entry, variant, n):
+    t_a, t_b = entry
+    kind, round_, reporter, payload = t_a
+    if kind == R:
+        payloads = [(payload + 1) % n, n, -1, "0", (0,) * (n - 1)]
+    else:
+        payloads = [(payload[0] ^ 1,) + payload[1:], payload[:-1],
+                    (2,) + payload[1:], list(payload), 0]
+    reports = [
+        *((kind, round_, reporter, p) for p in payloads),
+        (X if kind == R else R, round_, reporter, payload),
+        ("Z", round_, reporter, payload),
+        (kind, round_ + 1, reporter, payload),
+        (kind, round_ - 1, reporter, payload),
+        (kind, 0, reporter, payload),
+        (kind, str(round_), reporter, payload),
+        (kind, round_, reporter % n + 1, payload),
+        (kind, round_, n + 1, payload),
+        (kind, round_, reporter),
+        [kind, round_, reporter, payload],
+    ]
+    options = [(t_a_, t_b) for t_a_ in reports] + [
+        (t_a,), (t_a, t_b, None), "entry", None]
+    return options[variant % len(options)]
+
+
+def _mutate_source(t_b, variant, r, n):
+    if t_b is None:
+        options = [(1, r - 1), (2, 1), (1, "1"), (1,)]
+    else:
+        src, round_ = t_b
+        options = [None, (src % n + 1, round_), (src, round_ + 1),
+                   (src, round_ - 1), (src, str(round_)), (src,), "x"]
+    return options[variant % len(options)]
+
+
+def _mutate_ns(table, field, pick, variant, r, n):
+    table = dict(table)      # the shipped table is shared: edit a copy
+    link, entry = _entry(table, pick)
+    if field == "ns-key":
+        a, b = link
+        others = [k for k in sorted(table) if k != link]
+        keys = [(b, a), (a, a), (a, b, 1), "link", (0, a), (a, n + 1), None,
+                *others[:1]]
+        del table[link]
+        k = variant % (len(keys) + 1)
+        if k < len(keys):          # the last option drops the entry
+            table[keys[k]] = entry
+    elif field == "report":
+        table[link] = _mutate_entry(entry, variant, n)
+    else:
+        table[link] = (entry[0], _mutate_source(entry[1], variant, r, n))
+    return table
+
+
+def _mutate_xr(xr, pick, variant):
+    xr = dict(xr)
+    link = sorted(xr)[pick % len(xr)]
+    a, b = link
+    k = variant % 7
+    if k == 0:
+        del xr[link]
+    elif k == 1:
+        xr[link] ^= 1
+    elif k == 2:
+        xr[link] = 2
+    elif k == 3:
+        xr[link] = "1"
+    elif k == 4:
+        xr[(b, a)] = xr.pop(link)
+    elif k == 5:
+        xr[(a, a)] = xr.pop(link)
+    else:
+        xr[(a, b, 0)] = xr.pop(link)
+    return xr
+
+
+def _mutate_shares(shares, pick, variant, recipient, n, p):
+    shares = dict(shares)
+    gen = sorted(shares)[pick % len(shares)]
+    q, b = shares[gen]
+    k = variant % 10
+    pairs = [(q,), (q, b, 0), (p, b), ((q + 1) % p, b), [q, b], (q, -1)]
+    if k < len(pairs):
+        shares[gen] = pairs[k]
+    else:
+        keys = [recipient, 0, str(gen), n + 1]
+        shares[keys[k - len(pairs)]] = shares.pop(gen)
+    return shares
+
+
+def mutate(msg, field, pick, variant, recipient, n, p):
+    """A copy of msg with one field changed."""
+    msg = dict(msg)
+    r = msg["round"]
+    if field == "envelope":
+        options = [("sender", msg["sender"] % n + 1), ("sender", "1"),
+                   ("round", r + 1), ("round", r - 1), ("sender", None)]
+        k = variant % (len(options) + 3)
+        if k < len(options):
+            key, value = options[k]
+            if value is None:
+                del msg[key]
+            else:
+                msg[key] = value
+            return msg
+        return ([msg], "garbage", {})[k - len(options)]
+    if field == "rand":
+        options = [n, -1, "0", 1.5, (msg["rand"] + 1) % n, None]
+        value = options[variant % len(options)]
+        if value is None:
+            del msg["rand"]
+        else:
+            msg["rand"] = value
+    elif field in ("ns-key", "report", "source"):
+        msg["ns"] = _mutate_ns(msg["ns"], field, pick, variant, r, n)
+    elif field == "xr":
+        msg["xr"] = _mutate_xr(msg["xr"], pick, variant)
+    elif field == "qb":
+        key = ("q", "b")[pick % 2]
+        options = [p, -1, (msg[key] + 1) % p, "q", None]
+        value = options[variant % len(options)]
+        if value is None:
+            del msg[key]
+        else:
+            msg[key] = value
+    elif field == "shares":
+        msg["shares"] = _mutate_shares(msg["shares"], pick, variant,
+                                       recipient, n, p)
+    else:
+        cons = msg["consensus"]
+        v = min(cons) if cons else 0
+        options = [frozenset(), frozenset({v + 1}), frozenset({v, v + 1}),
+                   {v}, frozenset({"a"}), frozenset({-1}),
+                   frozenset({2**40}), None]
+        msg["consensus"] = options[variant % len(options)]
+    return msg
+
+
+def _fields(msg):
+    """The fields of msg that one mutation can change."""
+    out = ["envelope"]
+    if "rand" in msg:
+        out.append("rand")
+    if msg.get("ns"):
+        out += ["ns-key", "report", "source"]
+    if "xr" in msg:
+        out.append("xr")
+    if "q" in msg:
+        out.append("qb")
+    if msg.get("shares"):
+        out.append("shares")
+    if "consensus" in msg:
+        out.append("consensus")
+    return out
+
+
+class OneFieldMutation(Deviation):
+    """Agent 1 changes one field of its round-r message to one peer."""
+
+    def __init__(self, round_, peer, field, pick, variant):
+        super().__init__(agent=1)
+        self.round = round_
+        self.peer, self.field = peer, field
+        self.pick, self.variant = pick, variant
+
+    def mutate_outgoing(self, st, r, msgs):
+        if r != self.round or not msgs:
+            return msgs
+        j = sorted(msgs)[self.peer % len(msgs)]
+        fields = _fields(msgs[j])
+        field = fields[self.field % len(fields)]
+        msgs[j] = mutate(msgs[j], field, self.pick, self.variant, j,
+                         st.n, st.p)
+        self.applied = True
+        return msgs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(scale=st.sampled_from([(5, 1), (7, 2)]),
+       seed=st.integers(0, 7),
+       round_=st.integers(0, 5),
+       peer=st.integers(0, 5),
+       field=st.integers(0, 8),      # an index into the message's fields
+       pick=st.integers(0, 30),
+       variant=st.integers(0, 120))
+def test_one_field_mutation_is_punished_by_rule(scale, seed, round_, peer,
+                                                field, pick, variant):
+    n, t = scale
+    dev = OneFieldMutation(1 + round_ % (t + 4), peer, field, pick, variant)
+    ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                             deviation=dev))
+    for _ in ex.steps():
+        pass
+    res = ex.result()
+    for i, label in res.decisions.items():
+        if i == dev.agent or label != "bot":
+            continue
+        err = ex.agents[i].last_error
+        assert isinstance(err, InconsistencyError), (i, err)
+        assert err.category and err.rule
+        assert i in res.errors

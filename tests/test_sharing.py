@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from rucon.errors import InconsistencyError
 from rucon.sharing import (InsufficientSharesError, LinearPolynomial, Share,
-                           ShareInconsistencyError, make_polynomial,
-                           reconstruct, share_for)
+                           make_polynomial, reconstruct, share_for)
 
 
 def test_polynomial_evaluation():
@@ -60,8 +60,9 @@ def test_reconstruct_consistent_triple():
 
 
 def test_reconstruct_inconsistent_triple():
-    with pytest.raises(ShareInconsistencyError):
+    with pytest.raises(InconsistencyError) as exc:
         reconstruct([Share(1, 5), Share(2, 0), Share(3, 4)], p=7)
+    assert (exc.value.category, exc.value.rule) == ("share", "off-line")
 
 
 def test_reconstruct_needs_two_shares():

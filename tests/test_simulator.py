@@ -57,11 +57,15 @@ def test_config_validation():
     for dev in (make_deviation(10, agent=9), make_deviation(10, agent=0),
                 make_deviation(5, round="abc"),
                 make_deviation(1, targets=[2, 6]),
+                make_deviation(4, targets=[]), make_deviation(8, targets=[1]),
                 make_deviation(6, round=5), make_deviation(5, round=9),
                 make_deviation(1, rund=3), make_deviation(5, guess="no"),
                 make_deviation(6, case=9), make_deviation(6, case=0)):
         with pytest.raises(ValueError):
             run(RunConfig(n=5, t=1, seed=0, deviation=dev))
+    # targets=None is the type's own default, as when absent
+    for tid in (1, 2, 4, 8):
+        make_deviation(tid, targets=None).bind(n=5, t=1, domain_size=3)
     # a sub-case outside 1..8 is rejected when bound, not when it acts
     for case in (0, 9):
         with pytest.raises(ValueError, match="sub-case"):
