@@ -201,7 +201,7 @@ def _finalize(state: AgentState):
     """
     timeline = decision_mod.status_timeline(
         last_update(state.ns, state.hs, state.t + 3), state.n, state.t)
-    m_star = decision_mod.decision_round(timeline, state.t)
+    m_star = decision_mod.decision_round(timeline)
     d_set = decision_mod.decision_set(timeline, m_star, state.n)
     state.m_star, state.d_set = m_star, d_set
     values, proposals = {}, {}

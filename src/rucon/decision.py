@@ -60,23 +60,19 @@ def clean_rounds(timeline: dict):
     return sorted(r for r, (newly, _) in timeline.items() if not newly)
 
 
-def decision_round(timeline: dict, t: int) -> int:
+def decision_round(timeline: dict) -> int:
     """The round whose survivor set everyone can safely decide from.
 
     That is the earliest round immediately preceding a round in which no new
-    agent turned faulty. It always lands in 1..t+2 for legal histories; a
-    history without one is an inconsistency.
+    agent turned faulty. A status_timeline covers rounds 1..t+3, so it lands
+    in 1..t+2; a history without one is an inconsistency.
     """
     cleans = clean_rounds(timeline)
     candidates = [c - 1 for c in cleans if c >= 2]
     if not candidates:
         raise InconsistencyError("decision", "no-quiet-round",
                                  detail="no fault-quiet round in the history")
-    m_star = min(candidates)
-    if m_star > t + 2:
-        raise InconsistencyError("decision", "late-round",
-                                 detail=f"decision round {m_star} beyond {t + 2}")
-    return m_star
+    return min(candidates)
 
 
 def decision_set(timeline: dict, m_star: int, n: int):

@@ -14,7 +14,7 @@ class InconsistencyError(Exception):
       format, source, random, round, chain, merge
                           link-state rules, listed in verification.py
       share/off-line      relayed shares on no line (sharing.reconstruct)
-      decision/no-quiet-round, decision/late-round
+      decision/no-quiet-round
                           no legal decision round (decision.decision_round)
       consensus/empty, consensus/conflict
                           the final consensus set is not one value

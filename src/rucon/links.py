@@ -48,7 +48,7 @@ def append_hs(hs: dict, link: tuple[int, int], t_a) -> dict:
     arrives over several relay paths). Raises InconsistencyError when the
     report cannot coexist with what is already recorded: a same-reporter
     tuple with different content, or a third distinct tuple. That the
-    reporter is an endpoint (claim 8) is checked once, by verify_state,
+    reporter is an endpoint (claim 8) is checked once, by check_format,
     before any received report reaches here.
     """
     if t_a is None:

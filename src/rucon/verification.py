@@ -6,16 +6,20 @@ into its own tables. Anything that no honest execution can explain makes
 the checking agent give up with the punishment decision; the error names
 the rule that fired so the behaviour is testable rule by rule.
 
-Rule identifiers:
+Rule identifiers, by the phase that checks them:
 
-  chain/claim1..claim7   -- message-chain structure of a received table
-  round/claim8           -- a report's reporter must be a link endpoint
-  round/claim9..claim12  -- round relations for direct-link merge cases
-  round/case7..case9     -- round relations for indirect-link merge cases
-  source/claim13,claim14 -- provenance tags must match observed connectivity
-  format/*               -- structural validity of a report
-  random/*               -- report payloads must match registered randoms
-  merge/case2            -- a faulty report for a link observed correct now
+  phase 2, once per shipped table (check_format, verify_msg_chain):
+    format/*               -- structural validity of a report
+    round/claim8           -- a report's reporter must be a link endpoint
+    chain/claim1..claim7   -- message-chain structure of a received table
+    source/claim14         -- a report adopted from src last round needs the
+                              sender's own link to src correct then
+  phase 3, per receiver (verify_state, merge_state):
+    source/claim13         -- a tagged report we could have heard is in our HS
+    random/*               -- report payloads must match registered randoms
+    round/claim9..claim12  -- round relations for direct-link merge cases
+    round/case7..case9     -- round relations for indirect-link merge cases
+    merge/case2            -- a faulty report for a link observed correct now
 
 errors.InconsistencyError lists the categories raised outside this module.
 """
@@ -90,7 +94,7 @@ def _require_exact(t_a, b: int, rule: str, link, unknown: str, stale: str):
 
 def verify_msg_chain(n: int, t: int, r: int, sender: int, table: dict):
     """Check sender's table, received in round r, against the legal relay
-    histories (claims 1-7).
+    histories (claims 1-7 and 14).
 
     The sender's connectivity partition (still-connected vs disconnected
     peers) is reconstructed from the table's own direct-link entries, then
@@ -178,11 +182,20 @@ def verify_msg_chain(n: int, t: int, r: int, sender: int, table: dict):
                         "chain", "claim4", link, m1 - 2,
                         "state reachable before both disconnections is unknown")
 
+    # Claim 14: a report adopted from src at round m needs the sender's own
+    # link to src correct at m. Claim 1 made every correct direct entry
+    # round m, so that link is correct exactly when src is connected.
+    for link, (_, t_b) in table.items():
+        if t_b is not None and t_b[1] == m and t_b[0] not in connected:
+            raise InconsistencyError(
+                "source", "claim14", link, m,
+                f"sender adopted from {t_b[0]} at round {m} without a correct link")
+
 
 def check_format(n: int, r: int, sender: int, link, recv):
     """Structural validity of one entry (link key and report) of sender's
-    table received in round r; runs before any other check dereferences
-    the entry."""
+    table received in round r, and that its reporter is a link endpoint
+    (claim 8); runs before any other check dereferences the entry."""
     if (type(link) is not tuple or len(link) != 2
             or type(link[0]) is not int or type(link[1]) is not int
             or not 1 <= link[0] < link[1] <= n
@@ -221,28 +234,10 @@ def check_format(n: int, r: int, sender: int, link, recv):
         if not ok:
             raise InconsistencyError("format", "bad-source", link, t_a[1],
                                      f"malformed source tag {t_b!r}")
-
-
-def _check_source(state, r: int, sender: int, table: dict, link, t_a, t_b):
-    if t_b is None:
-        return
-    src, m_src = t_b
-    # Claim 14: adopted from src in the immediately previous round means the
-    # sender must itself show its link to src correct at that round.
-    if m_src == r - 1:
-        e = table.get(link_of(sender, src))
-        if e is None or e[0][0] != R:
-            raise InconsistencyError(
-                "source", "claim14", link, m_src,
-                f"sender adopted from {src} at round {m_src} without a correct link")
-    # Claim 13: if we heard src in that round too (or the tag names us), the
-    # report must already sit in our own history. lost holds the first round
-    # we did not hear each lost peer.
-    if src == state.id or state.lost.get(src, r) > m_src:
-        if t_a not in state.hs.get((link, t_a[1]), ()):
-            raise InconsistencyError(
-                "source", "claim13", link, t_a[1],
-                f"report tagged from {src} round {m_src} is not in local history")
+    if t_a[2] != link[0] and t_a[2] != link[1]:
+        raise InconsistencyError(
+            "round", "claim8", link, t_a[1],
+            f"reporter {t_a[2]} is not an endpoint")
 
 
 def _check_random(state, link, t_a):
@@ -266,16 +261,21 @@ def _check_random(state, link, t_a):
             idx += 1
 
 
-def verify_state(state, r: int, sender: int, table: dict, link, recv):
-    """The reporter, source and random checks for one entry of sender's
-    table, which check_format has already passed, against the checking
-    agent's own state."""
+def verify_state(state, r: int, link, recv):
+    """The source (claim 13) and random checks for one entry, received in
+    round r, against the checking agent's own state; phase 2 has already
+    passed the entry's table."""
     t_a, t_b = recv
-    if t_a[2] != link[0] and t_a[2] != link[1]:
-        raise InconsistencyError(
-            "round", "claim8", link, t_a[1],
-            f"reporter {t_a[2]} is not an endpoint")
-    _check_source(state, r, sender, table, link, t_a, t_b)
+    # Claim 13: if we heard src in that round too (or the tag names us), the
+    # report must already sit in our own history. lost holds the first round
+    # we did not hear each lost peer.
+    if t_b is not None:
+        src, m_src = t_b
+        if src == state.id or state.lost.get(src, r) > m_src:
+            if t_a not in state.hs.get((link, t_a[1]), ()):
+                raise InconsistencyError(
+                    "source", "claim13", link, t_a[1],
+                    f"report tagged from {src} round {m_src} is not in local history")
     _check_random(state, link, t_a)
 
 
@@ -383,11 +383,13 @@ class RoundMemo:
     """What round r's receivers share about the tables shipped to them.
 
     tables maps (sender, id(table)) to (table, None or the first phase-2
-    error, plan). It holds the table, so the id cannot be reused within the
-    round. A table that passed phase 2 has a plan: its entries as
-    (link, recv, uid) in sorted(table.items()) order. ids interns each
-    distinct (link, recv) value once per round as a small int uid, so equal
-    entries of different tables share one uid and distinct ones never do.
+    error, plan). Phase 2 holds every check that reads only the table, so
+    each one runs once per shipped table per round. The entry holds the
+    table, so the id cannot be reused within the round. A table that passed
+    phase 2 has a plan: its entries as (link, recv, uid) in
+    sorted(table.items()) order. ids interns each distinct (link, recv)
+    value once per round as a small int uid, so equal entries of different
+    tables share one uid and distinct ones never do.
     """
 
     def __init__(self):
@@ -407,15 +409,16 @@ def verify_and_update(state, received: dict, r: int, checked):
     sender to its table; r is the current round. Mutates state.ns and
     state.hs in place; raises InconsistencyError on any violation.
 
-    Phase 2 (check_format and verify_msg_chain) takes only n, t, r, the
-    sender and its table, no receiver state, so every recipient of one
-    shipped table gets the same outcome. So does phase 3's plan: a table's
-    sort order and the value equality of its entries read only the table.
-    checked is the RoundMemo that the Execution builds for round r and all
-    its receivers share: each shipped table is checked and planned once,
-    and a hit on an error raises a fresh InconsistencyError with the same
-    fields. Phase 3 (verify_state and merge_state) reads and writes the
-    checking agent's own state.
+    Phase 2 (check_format and verify_msg_chain) holds every check that
+    reads only the shipped table. It takes n, t, r, the sender and its
+    table, no receiver state, so every recipient of one shipped table gets
+    the same outcome. So does phase 3's plan: a table's sort order and the
+    value equality of its entries read only the table. checked is the
+    RoundMemo that the Execution builds for round r and all its receivers
+    share: each shipped table is checked and planned once, and a hit on an
+    error raises a fresh InconsistencyError with the same fields. Phase 3
+    (verify_state and merge_state) reads only the checking agent's own
+    state and the entry, and writes that state.
     """
     n, t, i = state.n, state.t, state.id
     ns, hs = state.ns, state.hs
@@ -461,23 +464,19 @@ def verify_and_update(state, received: dict, r: int, checked):
         if err is not None:
             raise InconsistencyError(err.category, err.rule, err.link,
                                      err.round, err.detail)
-        work.append((j, table, entry[2]))
+        work.append((j, entry[2]))
 
     # Phase 3: per-link verify and merge, senders ascending and each table
     # in link order. An entry equal in every field to one already processed
-    # this round (same uid) is skipped. Its sender-independent checks
-    # (claims 8 and 13, the randoms) passed at its first occurrence, and
-    # merging it again would change no table. The skip is not a pure no-op,
-    # though. Claim 14 reads the sender's own table, so a later sender of
-    # the same entry is never claim-14 checked, and whether a lie is caught
-    # can depend on sender order. And merge_state checks the entry's round
-    # relations only against the local entry as it stood at the first
-    # occurrence.
+    # this round (same uid) is skipped: its checks (claim 13, the randoms)
+    # passed at its first occurrence, and merging it again would change no
+    # table. merge_state does check a skipped entry's round relations only
+    # against the local entry as it stood at the first occurrence.
     done = set()
-    for j, table, plan in work:
+    for j, plan in work:
         for link, recv, uid in plan:
             if uid in done:
                 continue
-            verify_state(state, r, j, table, link, recv)
+            verify_state(state, r, link, recv)
             merge_state(state, r, j, link, recv)
             done.add(uid)

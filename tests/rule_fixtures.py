@@ -9,7 +9,7 @@ acceptance suite iterates the whole registry.
 from itertools import combinations
 from types import SimpleNamespace
 
-from rucon.links import R, X
+from rucon.links import R, X, link_of
 from rucon.verification import check_format, merge_state, \
     verify_msg_chain, verify_state
 
@@ -143,8 +143,8 @@ def receiver(**kw):
     return SimpleNamespace(**base)
 
 
-def _verify(state, link, recv, table=None, r=5):
-    verify_state(state, r, 2, table or {}, link, recv)
+def _verify(state, link, recv, r=5):
+    verify_state(state, r, link, recv)
 
 
 def _verify_merge(state, link, recv, r=5):
@@ -169,7 +169,7 @@ def _fx_bad_source(mutate):
 @_register("round", "claim8")
 def _fx_claim8(mutate):
     reporter = 5 if mutate else 3   # must be an endpoint of (3,4)
-    _verify(receiver(), (3, 4), ((R, 2, reporter, 1), (3, 3)))
+    check_format(5, 5, 2, (3, 4), ((R, 2, reporter, 1), (3, 3)))
 
 
 @_register("round", "claim9")
@@ -225,10 +225,18 @@ def _fx_claim13(mutate):
 
 @_register("source", "claim14")
 def _fx_claim14(mutate):
-    table = {} if mutate else {(2, 3): ((R, 4, 2, 0), None)}
-    # tagged as adopted from 3 in the previous round: the sender's own
-    # link to 3 must have been correct then
-    _verify(receiver(), (3, 4), ((R, 2, 3, 1), (3, 4)), table)
+    # Sender 2's table at n=5, t=1, received in round 5 (m=4). Agent 3 is
+    # disconnected from the sender since round 3; 1, 4 and 5 are connected.
+    tbl = {link_of(2, p): ((R, 4, 2, 0), None) for p in (1, 4, 5)}
+    tbl[(2, 3)] = ((X, 3, 2, (0,) * 4), None)
+    for k, p in ((1, 3), (1, 4), (1, 5), (3, 4), (3, 5), (4, 5)):
+        q = k if p == 3 else p          # adopted from a connected endpoint
+        tbl[(k, p)] = ((R, 3, q, 0), (q, 4))
+    if mutate:
+        # adopted from 3 in the previous round: the sender's own link to 3
+        # must have been correct then
+        tbl[(3, 4)] = ((R, 3, 4, 0), (3, 4))
+    verify_msg_chain(5, 1, 5, 2, tbl)
 
 
 @_register("random", "random-conflict")

@@ -1,7 +1,7 @@
 """Agent status, decision round/set, and the proposal election."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rucon.decision import (agent_status, clean_rounds, decision_round,
                             decision_set, elect, status_timeline)
@@ -49,7 +49,7 @@ def test_agent_status_round_range():
 def test_decision_round_fault_free():
     # newly-faulty counts [0,0,0,0]: first two fault-quiet rounds are 1
     # and 2; the decision round precedes the earliest usable one
-    assert decision_round(status_timeline({}, n=5, t=1), t=1) == 1
+    assert decision_round(status_timeline({}, n=5, t=1)) == 1
 
 
 def test_decision_round_alternating_faults():
@@ -60,7 +60,7 @@ def test_decision_round_alternating_faults():
     _mark_faulty(settled, 5, [1, 2], range(3, 5))
     timeline = status_timeline(settled, n=5, t=1)
     assert [len(timeline[r][0]) for r in range(1, 5)] == [1, 0, 1, 0]
-    assert decision_round(timeline, t=1) == 1
+    assert decision_round(timeline) == 1
 
 
 def test_decision_round_skips_round_zero():
@@ -70,7 +70,7 @@ def test_decision_round_skips_round_zero():
     _mark_faulty(settled, 5, [1, 2], range(2, 5))
     timeline = status_timeline(settled, n=5, t=1)
     assert [len(timeline[r][0]) for r in range(1, 5)] == [0, 1, 0, 0]
-    assert decision_round(timeline, t=1) == 2
+    assert decision_round(timeline) == 2
 
 
 def test_decision_round_without_quiet_round():
@@ -78,18 +78,35 @@ def test_decision_round_without_quiet_round():
     # quiet round; unreachable honestly, so the timeline is built by hand
     timeline = {r: ({r}, set(range(1, r + 1))) for r in range(1, 5)}
     with pytest.raises(InconsistencyError) as exc:
-        decision_round(timeline, t=1)
+        decision_round(timeline)
     assert (exc.value.category, exc.value.rule) == ("decision",
                                                     "no-quiet-round")
 
 
-def test_decision_round_past_t_plus_2():
-    # the only quiet round follows round t+3, a history no run can settle
-    timeline = {r: ({r}, set(range(1, r + 1))) for r in range(1, 5)}
-    timeline[5] = (set(), set(range(1, 5)))
-    with pytest.raises(InconsistencyError) as exc:
-        decision_round(timeline, t=1)
-    assert (exc.value.category, exc.value.rule) == ("decision", "late-round")
+@st.composite
+def _settled_histories(draw):
+    """(n, t, settled): any set of links marked faulty in rounds 1..t+3."""
+    n = draw(st.integers(3, 7))
+    t = draw(st.integers(0, (n - 1) // 2))
+    links = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+    marks = draw(st.sets(st.tuples(st.sampled_from(links),
+                                   st.integers(1, t + 3))))
+    return n, t, {mark: X for mark in marks}
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(history=_settled_histories())
+def test_decision_round_within_t_plus_2(history):
+    # status_timeline covers rounds 1..t+3, so a quiet round c gives at most
+    # m* = c - 1 = t + 2; the only way to fail is having no quiet round
+    n, t, settled = history
+    timeline = status_timeline(settled, n, t)
+    try:
+        m_star = decision_round(timeline)
+    except InconsistencyError as exc:
+        assert (exc.category, exc.rule) == ("decision", "no-quiet-round")
+    else:
+        assert 1 <= m_star <= t + 2
 
 
 def test_clean_rounds():
@@ -105,7 +122,7 @@ def test_decision_set_excludes_faulty():
     settled = {}
     _mark_faulty(settled, 4, [1, 2], range(1, 5))
     timeline = status_timeline(settled, n=5, t=1)
-    m_star = decision_round(timeline, t=1)
+    m_star = decision_round(timeline)
     assert decision_set(timeline, m_star, n=5) == [1, 2, 3, 5]
 
 

@@ -45,10 +45,10 @@ def test_claim13_reads_the_round_a_peer_was_lost(lost_round, rule):
     st = receiver(lost={3: lost_round})
     recv = ((R, 2, 3, 1), (3, 3))
     if rule is None:
-        verify_state(st, 5, 2, {}, (3, 4), recv)
+        verify_state(st, 5, (3, 4), recv)
         return
     with pytest.raises(InconsistencyError) as exc:
-        verify_state(st, 5, 2, {}, (3, 4), recv)
+        verify_state(st, 5, (3, 4), recv)
     assert (exc.value.category, exc.value.rule) == ("source", rule)
 
 
@@ -210,6 +210,23 @@ def test_verify_and_update_flags_tampered_relay(captured_round3):
     with pytest.raises(InconsistencyError) as exc:
         verify_and_update(st, st.pending_ns, 3, RoundMemo())
     assert exc.value.category in ("random", "source")
+
+
+@pytest.mark.parametrize("senders", [(3,), (2, 3)])
+def test_claim14_does_not_depend_on_sender_order(senders):
+    # Sender 3 claims its link to 4 failed at round 2, yet its (4,5) entry
+    # says it was adopted from 4 at round 2. Sender 2 ships an equal (4,5)
+    # entry, which phase 3 processes first and then skips for sender 3;
+    # claim 14 reads only sender 3's table, so it fires either way.
+    _, snap = run_agents(5, 1, seed=0, capture_round=3)
+    st = snap[1]
+    tbl = dict(st.pending_ns[3])
+    tbl[(3, 4)] = ((X, 2, 3, (0, 0, 0, 0)), None)
+    received = {j: tbl if j == 3 else st.pending_ns[j] for j in senders}
+    with pytest.raises(InconsistencyError) as exc:
+        verify_and_update(st, received, 3, RoundMemo())
+    assert (exc.value.category, exc.value.rule, exc.value.link) == (
+        "source", "claim14", (4, 5))
 
 
 # --- the per-round phase-2 memo ----------------------------------------------
