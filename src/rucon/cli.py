@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .deviations import DEVIATION_TYPES, make_deviation
 from .simulator import (FailurePattern, RunConfig, _basic_invariants,
-                        deviation_experiment, run)
+                        deviation_study, run)
 
 
 def _int_field(rec, key, lineno) -> int:
@@ -145,17 +145,14 @@ def cmd_deviate(args) -> int:
     types = sorted(DEVIATION_TYPES) if args.type == "all" else [args.type]
     base = _build_config(args)
     params = _parse_params(args.param)
-
-    def make(tid):
-        return make_deviation(tid, agent=args.agent, seed=args.seed, **params)
-
-    for tid in types:   # reject the agent and parameters before any line
-        replace(base, deviation=make(tid)).validate()
+    # a bad agent, type or parameter raises inside the first seed, so the
+    # study returns, and this prints, only once every deviation is valid
+    summaries = deviation_study(
+        base, [lambda tid=tid: make_deviation(tid, agent=args.agent,
+                                              seed=args.seed, **params)
+               for tid in types], args.runs)
     print(f"n={base.n} t={base.t} runs={args.runs} deviant={args.agent}")
-    summaries = []
-    for tid in types:
-        summary = deviation_experiment(base, lambda: make(tid), args.runs)
-        summaries.append(summary)
+    for summary in summaries:
         print(_summary_line(summary))
     worst = max(summaries, key=lambda s: s.mean_diff - 2 * s.se_diff)
     verdict = ("no profitable gain" if worst.gain_within_noise

@@ -257,6 +257,11 @@ class LinkStateLie(Deviation):
     # foreign link's one relay hop later, for round 3; sub-case 7 lowers a
     # foreign failure round of at least 2, so it needs round 4.
     first_rounds = {1: 2, 2: 2, 3: 3, 4: 3, 5: 2, 6: 3, 7: 4, 8: 2}
+    # the link each sub-case lies about: own (direct) or foreign, and the
+    # report kinds it looks for, in order
+    lie_links = {1: (True, (R,)), 2: (True, (X,)), 3: (False, (R,)),
+                 4: (False, (X,)), 5: (True, (R, X)), 6: (False, (R, X)),
+                 7: (False, (X,)), 8: (True, (X,))}
 
     @property
     def first_round(self):
@@ -296,62 +301,35 @@ class LinkStateLie(Deviation):
 
     def _build_lie(self, st, r):
         i, n, case = st.id, self.n, self.case
+        direct, kinds = self.lie_links[case]
+        pick = next(filter(None, (self._pick(st, direct, kind)
+                                  for kind in kinds)), None)
+        if pick is None:
+            return None
+        link, (ta, tb) = pick
         if case == 1:
-            pick = self._pick(st, True, R)
-            if pick is None:
-                return None
-            link, _ = pick
             ro = r - 2 if r >= 3 else r - 1
             bits = evidence_vector(st.xrandoms, i, ro, link)
             return link, ((X, ro, i, bits), None)
         if case == 2:
-            pick = self._pick(st, True, X)
-            if pick is None:
-                return None
-            link, _ = pick
             return link, ((R, r - 1, i, self.rng.randrange(n)), None)
         if case == 3:
-            pick = self._pick(st, False, R)
-            if pick is None:
-                return None
-            link, entry = pick
-            ro = entry[0][1]
-            z = link[0]
+            ro, z = ta[1], link[0]
             bits = _fabricate_bits(st, self.rng, z, ro, link, n)
             return link, ((X, ro, z, bits), (z, min(ro + 1, r - 1)))
         if case == 4:
-            pick = self._pick(st, False, X)
-            if pick is None:
-                return None
-            link, entry = pick
-            ro = entry[0][1]
-            z = link[0]
+            ro, z = ta[1], link[0]
             return link, ((R, ro, z, self.rng.randrange(n)), (z, ro + 1))
-        if case == 5:
-            pick = self._pick(st, True, R) or self._pick(st, True, X)
-            return (pick[0], None) if pick else None
-        if case == 6:
-            pick = self._pick(st, False, R) or self._pick(st, False, X)
-            return (pick[0], None) if pick else None
+        if case in (5, 6):
+            return link, None
         if case == 7:
-            pick = self._pick(st, False, X)
-            if pick is None:
-                return None
-            link, entry = pick
-            ta, tb = entry
             if ta[1] < 2:
                 return None
             bits = _fabricate_bits(st, self.rng, ta[2], ta[1] - 1, link, n)
             return link, ((X, ta[1] - 1, ta[2], bits), tb)
-        if case == 8:
-            pick = self._pick(st, True, X)
-            if pick is None:
-                return None
-            link, entry = pick
-            ta, tb = entry
-            bits = list(ta[3])
-            bits[0] ^= 1
-            return link, ((X, ta[1], ta[2], tuple(bits)), tb)
+        bits = list(ta[3])      # case 8
+        bits[0] ^= 1
+        return link, ((X, ta[1], ta[2], tuple(bits)), tb)
 
 
 class WrongRandomRelay(LinkStateLie):

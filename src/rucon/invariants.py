@@ -8,6 +8,7 @@ observational: the monitor never feeds anything back into the protocol.
 
 from __future__ import annotations
 
+from .agent import BOT
 from .links import last_update, link_of
 from . import decision as decision_mod
 
@@ -33,6 +34,13 @@ def ground_faulty(agents: dict, t: int):
         count[a] += 1
         count[b] += 1
     return {a for a, c in count.items() if c > t}
+
+
+def observer_set(agents: dict, faulty) -> dict:
+    """Agents whose views must agree: neither ground-faulty nor punished,
+    since a bot agent's tables stop wherever its verification did."""
+    return {a: st for a, st in sorted(agents.items())
+            if a not in faulty and st.decision != BOT}
 
 
 def risk_count(pattern, agents: dict, r: int) -> int:
@@ -65,10 +73,10 @@ class InvariantMonitor:
         self.faulty_by_round = {}
 
     def _check_views(self, agents, source_round, check_round, bound):
-        faulty = self.faulty_by_round[check_round]
+        observers = observer_set(agents, self.faulty_by_round[check_round])
         # each observer's opinion of a link: 'R', 'X' or 'O' for unknown
         views = [last_update(st.ns, st.hs, source_round)
-                 for a, st in sorted(agents.items()) if a not in faulty]
+                 for st in observers.values()]
         for link in self.links:
             seen = {v.get((link, source_round), "O") for v in views}
             if len(seen) > 1:
@@ -98,8 +106,9 @@ class InvariantMonitor:
         report["message_passing_bound"] = (not self.failures,
                                            "; ".join(self.failures))
 
-        faulty = self.faulty_by_round.get(t + 3, ground_faulty(agents, t))
-        observers = {a: st for a, st in agents.items() if a not in faulty}
+        faulty = (self.faulty_by_round[t + 3] if t + 3 in self.faulty_by_round
+                  else ground_faulty(agents, t))
+        observers = observer_set(agents, faulty)
         if not observers:
             # every agent judged faulty: there is no view to check against
             for name in ("clean_round_density", "hs_convergence",

@@ -118,10 +118,14 @@ class RunConfig:
         b0, b1, b2 = self.utilities
         if not b0 > b1 > b2:
             raise ValueError("utilities must be strictly decreasing")
-        if self.values is not None and len(self.values) != self.n:
-            raise ValueError("values must list one value per agent")
+        domain = self.value_domain      # a value's index is its encoding
+        if not domain or "" in domain or len(set(domain)) != len(domain):
+            raise ValueError(f"value domain needs distinct non-empty values, "
+                             f"got {list(domain)}")
         if self.values is not None:
-            bad = [v for v in self.values if v not in self.value_domain]
+            if len(self.values) != self.n:
+                raise ValueError("values must list one value per agent")
+            bad = [v for v in self.values if v not in domain]
             if bad:
                 raise ValueError(f"values outside the domain: {bad}")
         if self.deviation is not None and not 1 <= self.deviation.agent <= self.n:
@@ -130,7 +134,7 @@ class RunConfig:
         if self.pattern is not None:
             self.pattern.validate(self.n, self.t)
         if self.deviation is not None:
-            self.deviation.bind(self.n, self.t, len(self.value_domain))
+            self.deviation.bind(self.n, self.t, len(domain))
 
 
 @dataclass
@@ -370,52 +374,50 @@ class ExperimentSummary:
         return self.guess_hits / self.guess_trials if self.guess_trials else None
 
 
-def deviation_experiment(base: RunConfig, make_dev, runs: int) -> ExperimentSummary:
-    """Paired comparison of the deviant's utility against its honest self.
+def deviation_study(base: RunConfig, makers, runs: int) -> list:
+    """Paired comparison of each deviant's utility against its honest self.
 
-    Every trial runs one seed twice, once honest and once with the
-    deviation installed, and records the utility difference for the
-    deviating agent. Each run takes the base config's pattern and values
-    when given, and otherwise samples them from the seed.
+    Every trial runs one seed honest once, then once per maker with its
+    fresh deviation installed, and records the deviating agent's utility
+    difference. Each run takes the base config's pattern and values when
+    given, and otherwise samples them from the seed. Returns one summary
+    per maker, in maker order.
     """
     if runs < 1:
         raise ValueError(f"a study needs at least one run, got {runs}")
-    diffs, honest_u, dev_u = [], [], []
-    detected = 0
-    applied = 0
-    guess_trials = guess_hits = 0
-    label = None
+    tallies = [[] for _ in makers]     # per maker, one row per seed
     for k in range(runs):
-        seed = base.seed + k
-        honest_cfg = replace(base, seed=seed, sample_pattern=True,
+        honest_cfg = replace(base, seed=base.seed + k, sample_pattern=True,
                              deviation=None, check_invariants=False,
                              trace=None)
-        dev = make_dev()
-        label = dev.describe()
-        dev_cfg = replace(honest_cfg, deviation=dev)
-        rh = run(honest_cfg)
-        rd = run(dev_cfg)
-        hu = rh.utilities[dev.agent]
-        du = rd.utilities[dev.agent]
-        honest_u.append(hu)
-        dev_u.append(du)
-        diffs.append(du - hu)
-        if "bot" in rd.decisions.values():
-            detected += 1
-        if rd.deviation_applied:
-            applied += 1
-        for g in rd.guesses:
-            guess_trials += 1
-            guess_hits += g["hit"]
+        honest = run(honest_cfg).utilities
+        for make_dev, rows in zip(makers, tallies):
+            dev = make_dev()
+            label = dev.describe()
+            rd = run(replace(honest_cfg, deviation=dev))
+            rows.append((label, honest[dev.agent], rd.utilities[dev.agent],
+                         "bot" in rd.decisions.values(), rd.deviation_applied,
+                         len(rd.guesses), sum(g["hit"] for g in rd.guesses)))
+    return [_summary(rows) for rows in tallies]
+
+
+def _summary(rows) -> ExperimentSummary:
+    labels, honest_u, dev_u, detected, applied, trials, hits = zip(*rows)
+    diffs = [du - hu for hu, du in zip(honest_u, dev_u)]
+    runs = len(rows)
     mean_diff = statistics.fmean(diffs)
-    se = (statistics.stdev(diffs) / math.sqrt(len(diffs))
-          if len(diffs) > 1 else 0.0)
+    se = statistics.stdev(diffs) / math.sqrt(runs) if runs > 1 else 0.0
     return ExperimentSummary(
-        deviation=label, runs=runs,
+        deviation=labels[-1], runs=runs,
         mean_honest=statistics.fmean(honest_u),
         mean_deviant=statistics.fmean(dev_u),
         mean_diff=mean_diff, se_diff=se,
         gain_within_noise=mean_diff <= 2 * se,
-        detection_rate=detected / runs,
-        applied_rate=applied / runs,
-        guess_trials=guess_trials, guess_hits=guess_hits)
+        detection_rate=sum(detected) / runs,
+        applied_rate=sum(applied) / runs,
+        guess_trials=sum(trials), guess_hits=sum(hits))
+
+
+def deviation_experiment(base: RunConfig, make_dev, runs: int) -> ExperimentSummary:
+    """The study of one deviation; see deviation_study."""
+    return deviation_study(base, [make_dev], runs)[0]

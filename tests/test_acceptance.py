@@ -14,7 +14,7 @@ import pytest
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.sharing import Share, make_polynomial, reconstruct, share_for
-from rucon.simulator import RunConfig, deviation_experiment, run
+from rucon.simulator import RunConfig, deviation_study, run
 from rucon.cli import main as cli_main
 from rule_fixtures import FIXTURES
 
@@ -138,13 +138,13 @@ def test_no_deviation_is_profitable():
     start = time.monotonic()
     bad = []
     guess_stats = {}
+    types = sorted(DEVIATION_TYPES)
+    makers = [lambda tid=tid: make_deviation(tid, agent=1, seed=0)
+              for tid in types]
     for n, t in [(5, 1), (7, 2)]:
-        base = RunConfig(n=n, t=t, seed=0)
-        for type_id in sorted(DEVIATION_TYPES):
-            summary = deviation_experiment(
-                base,
-                lambda tid=type_id: make_deviation(tid, agent=1, seed=0),
-                DEVIATION_RUNS)
+        summaries = deviation_study(RunConfig(n=n, t=t, seed=0), makers,
+                                    DEVIATION_RUNS)
+        for type_id, summary in zip(types, summaries):
             if summary.mean_diff > 2 * summary.se_diff:
                 bad.append((n, t, type_id,
                             f"diff {summary.mean_diff:+.4f} "

@@ -157,6 +157,13 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path, capsys):
     pattern.write_text('{"agent": 4, "kind": "crash", "from_round": 1}\n'
                        '{"agent": 5, "kind": "crash", "from_round": 1}\n')
     assert main(base + ["--type", "10", "--pattern", str(pattern)]) == 2
+    # a repeated or missing domain value would decode two ways or none,
+    # in every command that takes a domain
+    common = ["--n", "5", "--t", "1", "--seed", "0"]
+    for argv in (["run"] + common, ["batch", "--runs", "2"] + common,
+                 base + ["--type", "all"]):
+        for domain in ("a,a,b", "a,,b"):
+            assert main(argv + ["--domain", domain]) == 2, (argv, domain)
     # each is rejected before the header line
     assert capsys.readouterr().out == ""
     # null, the documented default, lets the type pick its own targets

@@ -6,7 +6,7 @@ from rucon.cli import main
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.simulator import (Execution, FailurePattern, RunConfig,
-                             deviation_experiment, run)
+                             deviation_experiment, deviation_study, run)
 
 
 def _dev_run(dev, seed=0, n=5, t=1, **cfg):
@@ -162,6 +162,17 @@ def test_experiment_pairs_same_environment():
         base, lambda: make_deviation(10, agent=1, seed=0), runs=10)
     assert (s1.mean_honest, s1.mean_deviant) == (s2.mean_honest,
                                                  s2.mean_deviant)
+    # makers share each seed's honest run, and each maker's summary is the
+    # one it gets alone, with a given pattern and values and a deviant
+    # that is not the first agent
+    base = RunConfig(n=5, t=1, seed=7, values=["a", "b", "a", "c", "b"],
+                     pattern=FailurePattern(send_om={(5, 2): 2}))
+
+    def make():
+        return make_deviation(5, agent=3, seed=0)
+    alone = deviation_experiment(base, make, runs=10)
+    assert alone.guess_trials > 0
+    assert deviation_study(base, [make, make], runs=10) == [alone, alone]
 
 
 def test_every_bot_names_its_rule():

@@ -2,12 +2,12 @@
 
 Each run group's digest covers, run by run, the trace bytes exactly as
 write_trace stores them and every RunResult field but the config, which is
-the run's input. The study group's digest covers every ExperimentSummary
+the run's input. Each study group's digest covers every ExperimentSummary
 field of the paired deviation study, type by type. The run digests were
-recorded before the round loop moved into the Execution stepper, the study
-digest before the study stopped sampling its own run inputs, and the lies
-digests (every type-6 sub-case and type 7 at every round from the first
-its lie can act in to the last that ships a table, which reach the
+recorded before the round loop moved into the Execution stepper, the
+study-5-1 digest before the study stopped sampling its own run inputs, and
+the lies digests (every type-6 sub-case and type 7 at every round from the
+first its lie can act in to the last that ships a table, which reach the
 round-relation and merge rules) before a deviation rejected a round its
 lie can never act in, so a refactor that changes what any run computes or
 records fails here. The fixtures digest covers the full error (category,
@@ -22,7 +22,11 @@ bottom decision. The three deviations groups and the two lies groups were
 re-recorded when claim 14 became a phase-2 check, which changed only the
 errors, the inconsistency events and, where the invariant monitor is on,
 its report on the tables of agents that now stop before that round's
-merges.
+merges. The deviations-agent3 group was re-recorded when the invariant
+monitor stopped reading the tables of agents that decided bot, which
+changed only that report, in 8 of its 20 runs. The study-7-2 group was
+recorded while each deviation type still re-ran its own honest runs,
+before one study shared them among all types.
 """
 
 import dataclasses
@@ -33,7 +37,7 @@ import pytest
 from rucon.cli import write_trace
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
-from rucon.simulator import RunConfig, deviation_experiment, run
+from rucon.simulator import RunConfig, deviation_study, run
 from rule_fixtures import FIXTURES
 
 HONEST_SEEDS = range(4)
@@ -52,7 +56,7 @@ GOLDEN = {
     "deviations-5-1":
         "d8621ea22081181c681aeb6ef8babcef9f34beca326c51a8d5b8011f011e6e1b",
     "deviations-agent3-5-1":
-        "409e8294ed53dfda294a6c4b01b8a559d23ccb5f28cacea284a8fdc351add4a5",
+        "ae553fd52dae247ba1f94c0e8ae10ba4fec178e0582bd93994733e94477259cb",
     "deviations-7-2":
         "ac69b9144e05906e31c7a09d711ff72ae02f41862ebf81fd936b96996c225cba",
     "lies-5-1":
@@ -63,6 +67,8 @@ GOLDEN = {
         "b1f4082489ff8530c463800e64636617687f2c3b6b193e811db2cb620393fa4a",
     "study-5-1":
         "d552e108002f0c88f26e0c0ac4edefc89318d3954fe9f03f2a2a643993fd3807",
+    "study-7-2":
+        "6c9de55550c183c3fba0714bbbe6f6403a6c5beaf67b0743facfec11f5100049",
 }
 
 
@@ -105,11 +111,11 @@ def _canon(obj):
 
 def _study_digest(group):
     _, n, t = group.rsplit("-", 2)
-    base = RunConfig(n=int(n), t=int(t), seed=0)
+    makers = [lambda tid=tid: make_deviation(tid, agent=1, seed=0)
+              for tid in sorted(DEVIATION_TYPES)]
     digest = hashlib.sha256()
-    for tid in sorted(DEVIATION_TYPES):
-        summary = deviation_experiment(
-            base, lambda: make_deviation(tid, agent=1, seed=0), STUDY_RUNS)
+    for summary in deviation_study(RunConfig(n=int(n), t=int(t), seed=0),
+                                   makers, STUDY_RUNS):
         digest.update(repr(dataclasses.astuple(summary)).encode())
     return digest.hexdigest()
 

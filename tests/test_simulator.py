@@ -5,10 +5,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from rucon.agent import BOT
 from rucon.deviations import make_deviation
-from rucon.simulator import (FailurePattern, RunConfig, deliver,
-                             deviation_experiment, run, sample_blind_pattern,
-                             sample_values)
+from rucon.simulator import (Execution, FailurePattern, RunConfig, deliver,
+                             deviation_experiment, deviation_study, run,
+                             sample_blind_pattern, sample_values)
 
 
 def test_fault_free_regression():
@@ -54,6 +55,11 @@ def test_config_validation():
         run(RunConfig(n=5, t=1, seed=0, values=["z"] * 5))
     with pytest.raises(ValueError, match="t must be at least 0"):
         run(RunConfig(n=5, t=-1, seed=0))
+    # a value's index in the domain is its encoding: a repeated value
+    # would decode two ways, and an empty domain has no value to hold
+    for domain in (("a", "a", "b"), (), ("a", "", "b")):
+        with pytest.raises(ValueError, match="value domain"):
+            run(RunConfig(n=5, t=1, seed=0, value_domain=domain))
     for dev in (make_deviation(10, agent=9), make_deviation(10, agent=0),
                 make_deviation(5, round="abc"),
                 make_deviation(1, targets=[2, 6]),
@@ -74,6 +80,9 @@ def test_config_validation():
         with pytest.raises(ValueError):
             deviation_experiment(RunConfig(n=5, t=1, seed=0),
                                  lambda: make_deviation(10), runs)
+        with pytest.raises(ValueError):
+            deviation_study(RunConfig(n=5, t=1, seed=0),
+                            [lambda: make_deviation(10)], runs)
 
 
 def test_pattern_validation():
@@ -182,6 +191,34 @@ def test_invariants_without_non_faulty_observer():
     for name in ("clean_round_density", "hs_convergence",
                  "machinery_agreement"):
         assert res.invariants[name] == (False, "no non-faulty observer")
+
+
+def test_invariants_ignore_bot_agents_tables():
+    # a bot agent stops wherever its verification did, so the monitor
+    # reads no table of it: emptying them after every round changes no
+    # report
+    bots = 0
+    for tid in range(1, 11):
+        for seed in range(6):
+            def config():
+                return RunConfig(n=5, t=1, seed=seed, sample_pattern=True,
+                                 deviation=make_deviation(tid, agent=3,
+                                                          seed=seed))
+            res = run(config())
+            ex = Execution(config())
+            for _ in ex.steps():
+                _empty_bot_tables(ex.agents)
+            _empty_bot_tables(ex.agents)
+            assert ex.result().invariants == res.invariants, (tid, seed)
+            bots += "bot" in res.decisions.values()
+    assert bots >= 40
+
+
+def _empty_bot_tables(agents):
+    for st in agents.values():
+        if st.decision == BOT:
+            st.ns.clear()
+            st.hs.clear()
 
 
 @given(r=st.integers(1, 8), onset=st.integers(1, 8))

@@ -3,8 +3,8 @@
 perfbench/layers.py wraps rucon's module-level functions by name; a traced
 function that is renamed, deleted or called past its module attribute gets
 zero calls and fails the benchmark's required-layer gate. These tests run
-the same gate on one checked honest run and on one paired deviation study,
-so such a change fails here too.
+the same gate on one checked honest run, on one paired deviation trial and
+on a one-seed study of two deviations, so such a change fails here too.
 """
 
 import importlib.util
@@ -39,4 +39,18 @@ def test_trace_gate_reaches_every_deviation_study_layer():
             simulator.RunConfig(n=5, t=1, seed=0),
             lambda: deviations.make_deviation(6, agent=1, seed=0), 1)
     assert tracer.missing("deviation-study") == []
+    assert tracer.restored()
+
+
+def test_trace_gate_reaches_every_layer_of_a_shared_study():
+    # one seed, two makers: the honest run is shared, so three runs
+    layers = _layers()
+    with layers.Tracer() as tracer:
+        simulator.deviation_study(
+            simulator.RunConfig(n=5, t=1, seed=0),
+            [lambda: deviations.make_deviation(6, agent=1, seed=0),
+             lambda: deviations.make_deviation(5, agent=1, seed=0)], 1)
+    assert tracer.calls["simulator.run"] == 3
+    assert [name for name in tracer.missing("deviation-study")
+            if name != "simulator.deviation_experiment"] == []
     assert tracer.restored()
