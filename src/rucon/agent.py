@@ -13,9 +13,9 @@ from functools import lru_cache
 
 from .errors import InconsistencyError
 from .links import last_update, link_of
-from .sharing import (DEFAULT_PRIME, LinearPolynomial, Share, make_polynomial,
+from .sharing import (DEFAULT_PRIME, LinearPolynomial, make_polynomial,
                       reconstruct, share_for)
-from .verification import register_random, register_xrandom, verify_and_update
+from .verification import register_random, verify_and_update
 from . import decision as decision_mod
 
 UNDECIDED = None
@@ -57,6 +57,12 @@ class AgentState:
 def own_links(i: int, n: int) -> tuple:
     """Agent i's n-1 links, by ascending peer id."""
     return tuple(link_of(i, j) for j in range(1, n + 1) if j != i)
+
+
+@lru_cache(maxsize=None)
+def _link_set(i: int, n: int) -> frozenset:
+    """Agent i's n-1 links, as the key set its evidence bits must have."""
+    return frozenset(own_links(i, n))
 
 
 def _gen_randoms(state: AgentState, r: int):
@@ -146,10 +152,15 @@ def _ingest(state: AgentState, j: int, r: int, msg: dict):
         xr = msg.get("xr")
         _require(isinstance(xr, dict) and len(xr) == n - 1, "xr",
                  "bad evidence bits")
+        # one bit per link of the sender, keyed canonically; no report of
+        # round r has arrived yet, so no registered bit can conflict
+        bits = tuple(xr.values())
+        _require(xr.keys() == _link_set(j, n)
+                 and bits.count(0) + bits.count(1) == n - 1,
+                 "xr-bit", "bad evidence bit")
+        xrandoms, i = state.xrandoms, state.id
         for link, bit in xr.items():
-            _require(isinstance(link, tuple) and len(link) == 2 and j in link
-                     and bit in (0, 1), "xr-bit", "bad evidence bit")
-            register_xrandom(state.xrandoms, j, r, link, state.id, bit)
+            xrandoms.setdefault((j, r, link), {})[i] = bit
     if r == 1:
         q, b = msg.get("q"), msg.get("b")
         _require(isinstance(q, int) and 0 <= q < p
@@ -212,10 +223,10 @@ def _finalize(state: AgentState):
         pts = state.shares.get(a, {})
         if len(pts) < 2:
             return  # not enough shares: leave consensus empty
-        values[a] = reconstruct(
-            [Share(pt, qb[0]) for pt, qb in pts.items()], state.p)
-        proposals[a] = reconstruct(
-            [Share(pt, qb[1]) for pt, qb in pts.items()], state.p)
+        values[a] = reconstruct([(pt, q) for pt, (q, _) in pts.items()],
+                                state.p)
+        proposals[a] = reconstruct([(pt, b) for pt, (_, b) in pts.items()],
+                                   state.p)
     elected = decision_mod.elect(d_set, values, proposals)
     state.elected = elected
     state.consensus.add(elected)

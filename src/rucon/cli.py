@@ -145,6 +145,10 @@ def cmd_deviate(args) -> int:
     types = sorted(DEVIATION_TYPES) if args.type == "all" else [args.type]
     base = _build_config(args)
     params = _parse_params(args.param)
+    for key in ("agent", "seed"):
+        if key in params:
+            raise ValueError(f"--param {key}=... is not a deviation "
+                             f"parameter; use --{key}")
     # a bad agent, type or parameter raises inside the first seed, so the
     # study returns, and this prints, only once every deviation is valid
     summaries = deviation_study(

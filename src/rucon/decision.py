@@ -1,16 +1,26 @@
 """Status classification and the final value election.
 
-After the last exchange round every agent holds the same link history, so
-the functions here are pure: given the settled history of
+The functions here are pure: given an agent's settled history from
 links.last_update they name which agents count as faulty per round, pick
 the decision round (the latest round known to be fault-quiet), the
-decision set, and finally the elected value.
+decision set, and finally the elected value. Settled histories can still
+differ between agents after the last exchange round; what the non-faulty
+agents agree on is the decision round m* and the decision set D, which the
+invariant monitor checks as machinery_agreement.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InconsistencyError
-from .links import X, link_of
+from .links import X
+
+
+@lru_cache(maxsize=None)
+def _links(n: int) -> tuple:
+    """Every link among agents 1..n, in canonical order."""
+    return tuple((a, b) for a in range(1, n) for b in range(a + 1, n + 1))
 
 
 def agent_status(settled: dict, r: int, n: int, t: int, removed=()):
@@ -18,31 +28,41 @@ def agent_status(settled: dict, r: int, n: int, t: int, removed=()):
 
     An agent is faulty when, among the peers not yet removed, fewer than
     n - t - 1 - f of its links are non-faulty (f = number removed so far).
-    Removal is recomputed to a fixpoint, scanning ids in ascending order.
+    Removal is recomputed to a fixpoint, lowest id first. Each removal
+    lowers the bound by one, and the count of every remaining agent whose
+    link to the removed one is non-faulty by one.
     Returns (newly_faulty, removed) with removal being absorbing.
     """
     if not 1 <= r <= t + 3:
         raise ValueError(f"round {r} outside 1..{t + 3}")
     removed = set(removed)
     newly: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for a in range(1, n + 1):
-            if a in removed:
-                continue
-            good = 0
-            for q in range(1, n + 1):
-                if q == a or q in removed:
-                    continue
-                if settled.get((link_of(a, q), r)) != X:
-                    good += 1
-            if good < n - t - 1 - len(removed):
-                removed.add(a)
-                newly.add(a)
-                changed = True
+    alive = [a for a in range(1, n + 1) if a not in removed]
+    # per agent not yet removed, its non-faulty links to such peers
+    good = dict.fromkeys(alive, len(alive) - 1)
+    x_peers = {}        # agent -> its peers over a link faulty at round r
+    for link in _links(n):
+        if settled.get((link, r)) == X:
+            a, b = link
+            x_peers.setdefault(a, set()).add(b)
+            x_peers.setdefault(b, set()).add(a)
+            if a in good and b in good:
+                good[a] -= 1
+                good[b] -= 1
+    while True:
+        bound = n - t - 1 - len(removed)
+        for a, count in good.items():
+            if count < bound:
                 break
-    return newly, removed
+        else:
+            return newly, removed
+        removed.add(a)
+        newly.add(a)
+        del good[a]
+        spared = x_peers.get(a, ())     # their link to a did not count
+        for q in good:
+            if q not in spared:
+                good[q] -= 1
 
 
 def status_timeline(settled: dict, n: int, t: int):

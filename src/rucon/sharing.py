@@ -11,6 +11,7 @@ inconsistent share sets with a bottom decision instead of voting them out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistencyError
 
@@ -38,9 +39,10 @@ class LinearPolynomial:
             raise ValueError(f"slope {self.slope} outside field [0, {self.p})")
 
 
-@dataclass(frozen=True)
-class Share:
-    """One evaluation point of a sharing polynomial, owned by an agent id."""
+class Share(NamedTuple):
+    """One evaluation point of a sharing polynomial, owned by an agent id.
+
+    A plain (owner, value) pair is an equally good share for reconstruct."""
 
     owner: int
     value: int
@@ -63,29 +65,28 @@ def share_for(poly: LinearPolynomial, agent_id: int) -> Share:
 
 
 def reconstruct(shares, p: int = DEFAULT_PRIME) -> int:
-    """Interpolate the secret at x=0 from two or more shares.
+    """Interpolate the secret at x=0 from two or more (owner, value) shares.
 
     All shares must lie on a single degree-1 polynomial; with more than two
     shares, every extra share is checked against the line fixed by the first
     two and any mismatch raises InconsistencyError share/off-line.
     """
-    shares = sorted(shares, key=lambda s: s.owner)
-    owners = [s.owner for s in shares]
-    if len(set(owners)) != len(owners):
+    shares = sorted(shares)     # by owner: equal owners are rejected below
+    if len({s[0] for s in shares}) != len(shares):
         raise ValueError("shares must have distinct owners")
     if len(shares) < 2:
         raise InsufficientSharesError(
             f"need at least 2 shares to reconstruct, got {len(shares)}"
         )
-    a, b = shares[0], shares[1]
+    (x0, y0), (x1, y1) = shares[0], shares[1]
     # Line through the first two points: slope and value at 0.
-    inv_dx = pow((b.owner - a.owner) % p, p - 2, p)
-    slope = ((b.value - a.value) * inv_dx) % p
-    secret = (a.value - slope * a.owner) % p
-    for s in shares[2:]:
-        if (secret + slope * s.owner) % p != s.value:
+    inv_dx = pow((x1 - x0) % p, p - 2, p)
+    slope = ((y1 - y0) * inv_dx) % p
+    secret = (y0 - slope * x0) % p
+    for x, y in shares[2:]:
+        if (secret + slope * x) % p != y:
             raise InconsistencyError(
                 "share", "off-line",
-                detail=f"share at x={s.owner} does not lie on the polynomial "
-                f"through x={a.owner}, x={b.owner}")
+                detail=f"share at x={x} does not lie on the polynomial "
+                f"through x={x0}, x={x1}")
     return secret

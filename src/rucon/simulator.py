@@ -235,6 +235,7 @@ class Execution:
         round r's received tables still pending, then, when resumed, run
         round r's compute phase and the invariant monitor."""
         agents, strategies, emit = self.agents, self.strategies, self._emit
+        tracing = self.sink is not None     # build no payload nobody keeps
         for r in self.rounds:
             # Round r's phase-2 outcome and phase-3 plan of each shipped
             # table, and the round's intern map of table entries. None of it
@@ -245,16 +246,19 @@ class Execution:
             for i, st in sorted(agents.items()):
                 msgs = strategies[i].mutate_outgoing(st, r, send_phase(st, r))
                 outboxes[i] = msgs
-                emit(r, "send", i, "sent", {"to": sorted(msgs)})
+                if tracing:
+                    emit(r, "send", i, "sent", {"to": sorted(msgs)})
             inboxes = deliver(r, outboxes, self.pattern, self.config.n)
             for i, st in sorted(agents.items()):
                 inbox = strategies[i].filter_inbox(st, r, inboxes[i])
                 before = st.decision
                 receive_phase(st, r, inbox)
                 strategies[i].after_receive(st, r)
-                emit(r, "receive", i, "received",
-                     {"from": sorted(inbox), "lost": sorted(st.lost),
-                      "decision": _decision_label(st.decision, self.domain)})
+                if tracing:
+                    emit(r, "receive", i, "received",
+                         {"from": sorted(inbox), "lost": sorted(st.lost),
+                          "decision": _decision_label(st.decision,
+                                                      self.domain)})
                 if st.decision is not before and st.decision == BOT:
                     emit(r, "receive", i, "inconsistency", _error_payload(st))
             yield r

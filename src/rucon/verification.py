@@ -26,6 +26,8 @@ errors.InconsistencyError lists the categories raised outside this module.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InconsistencyError
 from .links import R, X, append_hs, link_of
 
@@ -240,43 +242,57 @@ def check_format(n: int, r: int, sender: int, link, recv):
             f"reporter {t_a[2]} is not an endpoint")
 
 
-def _check_random(state, link, t_a):
-    if t_a[0] == R:
-        reporter = t_a[2]
-        other = link[0] if link[1] == reporter else link[1]
-        register_random(state.randoms, other, t_a[1], t_a[3])
-    else:
-        gen, bits = t_a[2], t_a[3]
-        slot = state.xrandoms.setdefault((gen, t_a[1], link), {})
-        idx = 0
-        for w in range(1, state.n + 1):
-            if w == gen:
-                continue
-            known = slot.get(w)
-            if known is not None and known != bits[idx]:
-                raise InconsistencyError(
-                    "random", "xrandom-mismatch", link, t_a[1],
-                    f"evidence bit for recipient {w} is wrong")
-            slot[w] = bits[idx]
-            idx += 1
+@lru_cache(maxsize=None)
+def _recipients(gen: int, n: int) -> tuple:
+    """Everyone but gen, ascending: the recipients of gen's evidence bits."""
+    return tuple(w for w in range(1, n + 1) if w != gen)
 
 
 def verify_state(state, r: int, link, recv):
     """The source (claim 13) and random checks for one entry, received in
     round r, against the checking agent's own state; phase 2 has already
-    passed the entry's table."""
+    passed the entry's table.
+
+    A correct-link report carries the other endpoint's message random of
+    its round, and a faulty-link report its reporter's evidence bits of
+    its round, one per recipient ascending. Each must agree with what the
+    agent has registered, and what it did not know is registered.
+    """
     t_a, t_b = recv
+    kind, m, reporter, payload = t_a
     # Claim 13: if we heard src in that round too (or the tag names us), the
     # report must already sit in our own history. lost holds the first round
     # we did not hear each lost peer.
     if t_b is not None:
         src, m_src = t_b
         if src == state.id or state.lost.get(src, r) > m_src:
-            if t_a not in state.hs.get((link, t_a[1]), ()):
+            if t_a not in state.hs.get((link, m), ()):
                 raise InconsistencyError(
-                    "source", "claim13", link, t_a[1],
+                    "source", "claim13", link, m,
                     f"report tagged from {src} round {m_src} is not in local history")
-    _check_random(state, link, t_a)
+    if kind == R:
+        other = link[0] if link[1] == reporter else link[1]
+        key = (other, m)
+        known = state.randoms.get(key)
+        if known is None:
+            state.randoms[key] = payload
+        elif known != payload:
+            raise InconsistencyError(
+                "random", "random-conflict", None, m,
+                f"agent {other} round {m}: {payload} vs registered {known}")
+        return
+    slot = state.xrandoms.setdefault((reporter, m, link), {})
+    bits = dict(zip(_recipients(reporter, state.n), payload))
+    if slot.items() <= bits.items():    # every registered bit agrees
+        slot.update(bits)
+        return
+    for w, bit in bits.items():         # name the first that does not
+        known = slot.get(w)
+        if known is not None and known != bit:
+            raise InconsistencyError(
+                "random", "xrandom-mismatch", link, m,
+                f"evidence bit for recipient {w} is wrong")
+        slot[w] = bit
 
 
 def merge_state(state, r: int, sender: int, link, recv):

@@ -7,7 +7,9 @@ import pytest
 from rucon.agent import (BOT, NO_DECISION, UNDECIDED, build_message,
                          compute_phase, init_agent, receive_phase,
                          send_phase)
-from rucon.verification import RoundMemo
+from rucon.errors import InconsistencyError
+from rucon.links import X
+from rucon.verification import RoundMemo, verify_state
 from conftest import run_agents
 
 
@@ -126,6 +128,48 @@ def test_malformed_message_means_bot():
     receive_phase(fresh, 1, inbox)
     assert fresh.decision == BOT
     assert str(fresh.last_error) == "[envelope/rand] bad message random"
+
+
+def _evidence_inbox(rekey):
+    """Receiver 3's round-1 inbox at (5,1), with every evidence bit of
+    agent 1 set to 1 and its key set passed through rekey."""
+    inbox = {j: build_message(init_agent(j, 5, 1, 0, random.Random(j)),
+                              1, 3, {})
+             for j in (1, 2, 4, 5)}
+    inbox[1]["xr"] = rekey(dict.fromkeys(inbox[1]["xr"], 1))
+    return init_agent(3, 5, 1, 0, random.Random(3)), inbox
+
+
+def _replace_key(old, new, value=1):
+    return lambda xr: {**{k: v for k, v in xr.items() if k != old},
+                       new: value}
+
+
+@pytest.mark.parametrize("rekey", [
+    lambda xr: {(b, a): bit for (a, b), bit in xr.items()},   # all reversed
+    _replace_key((1, 2), (2, 1)),
+    _replace_key((1, 2), (1, 1)),
+    _replace_key((1, 2), (2, 3)),       # a link of another agent
+    _replace_key((1, 2), (1, 2), [1]),  # an unhashable bit
+], ids=["all-reversed", "one-reversed", "self-link", "foreign-link",
+        "unhashable-bit"])
+def test_evidence_bits_on_other_keys_mean_bot(rekey):
+    # a bit filed under a key no report reads would let a forged faulty
+    # report of link (1,2) pass the evidence check
+    st, inbox = _evidence_inbox(rekey)
+    receive_phase(st, 1, inbox)
+    assert st.decision == BOT
+    assert str(st.last_error) == "[envelope/xr-bit] bad evidence bit"
+
+
+def test_evidence_bits_expose_a_forged_report():
+    st, inbox = _evidence_inbox(lambda xr: xr)
+    receive_phase(st, 1, inbox)
+    assert st.decision is UNDECIDED
+    with pytest.raises(InconsistencyError) as exc:
+        verify_state(st, 2, (1, 2), ((X, 1, 1, (0, 0, 0, 0)), None))
+    assert (exc.value.category, exc.value.rule) == ("random",
+                                                    "xrandom-mismatch")
 
 
 def test_final_round_consensus_union():

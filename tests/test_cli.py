@@ -164,8 +164,13 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path, capsys):
                  base + ["--type", "all"]):
         for domain in ("a,a,b", "a,,b"):
             assert main(argv + ["--domain", domain]) == 2, (argv, domain)
+    # the deviant and its seed are set by --agent and --seed alone
+    assert main(base + ["--type", "10", "--param", "agent=2"]) == 2
+    assert main(base + ["--type", "all", "--param", "seed=1"]) == 2
     # each is rejected before the header line
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "use --agent" in captured.err and "use --seed" in captured.err
     # null, the documented default, lets the type pick its own targets
     assert main(base + ["--type", "1", "--param", "targets=null"]) == 0
 

@@ -39,6 +39,57 @@ def test_agent_status_excludes_removed_peers():
     assert not newly
 
 
+def test_agent_status_removes_lowest_id_first():
+    # agents 1 and 2 both start below n-t-1 = 3 correct links; removing 1
+    # first lowers the bound to 2 and leaves 2 with links to 3 and 5
+    settled = {((1, 2), 1): X, ((1, 3), 1): X, ((2, 4), 1): X}
+    assert agent_status(settled, 1, n=5, t=1) == ({1}, {1})
+
+
+def _reference_status(settled, r, n, t, removed=()):
+    """The plain fixpoint: rescan every link of every agent after each
+    removal, lowest id first."""
+    removed = set(removed)
+    newly = set()
+    changed = True
+    while changed:
+        changed = False
+        for a in range(1, n + 1):
+            if a in removed:
+                continue
+            good = sum(settled.get((link_of(a, q), r)) != X
+                       for q in range(1, n + 1)
+                       if q != a and q not in removed)
+            if good < n - t - 1 - len(removed):
+                removed.add(a)
+                newly.add(a)
+                changed = True
+                break
+    return newly, removed
+
+
+@st.composite
+def _status_inputs(draw):
+    """(settled, r, n, t, removed): a settled history, a round of it and
+    any set of agents removed before that round."""
+    n = draw(st.integers(3, 9))
+    t = draw(st.integers(0, (n - 1) // 2))
+    links = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+    marks = draw(st.sets(st.tuples(st.sampled_from(links),
+                                   st.integers(1, t + 3))))
+    r = draw(st.integers(1, t + 3))
+    removed = draw(st.sets(st.integers(1, n)))
+    return {mark: X for mark in marks}, r, n, t, removed
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(case=_status_inputs())
+def test_agent_status_matches_reference_fixpoint(case):
+    settled, r, n, t, removed = case
+    assert (agent_status(settled, r, n, t, removed)
+            == _reference_status(settled, r, n, t, removed))
+
+
 def test_agent_status_round_range():
     with pytest.raises(ValueError):
         agent_status({}, 0, n=5, t=1)

@@ -51,30 +51,45 @@ def test_share_at_zero_rejected():
         share_for(poly, -1)
 
 
+# reconstruct takes Share objects and plain (owner, value) pairs alike
+FORMS = (Share, lambda owner, value: (owner, value))
+
+
 def test_reconstruct_two_shares():
-    assert reconstruct([Share(1, 5), Share(2, 0)], p=7) == 3
+    for share in FORMS:
+        assert reconstruct([share(1, 5), share(2, 0)], p=7) == 3
 
 
 def test_reconstruct_consistent_triple():
-    assert reconstruct([Share(1, 5), Share(2, 0), Share(3, 2)], p=7) == 3
+    for share in FORMS:
+        assert reconstruct([share(3, 2), share(1, 5), share(2, 0)], p=7) == 3
 
 
 def test_reconstruct_inconsistent_triple():
-    with pytest.raises(InconsistencyError) as exc:
-        reconstruct([Share(1, 5), Share(2, 0), Share(3, 4)], p=7)
-    assert (exc.value.category, exc.value.rule) == ("share", "off-line")
+    details = set()
+    for share in FORMS:
+        with pytest.raises(InconsistencyError) as exc:
+            reconstruct([share(1, 5), share(2, 0), share(3, 4)], p=7)
+        assert (exc.value.category, exc.value.rule) == ("share", "off-line")
+        details.add(exc.value.detail)
+    assert details == {"share at x=3 does not lie on the polynomial "
+                       "through x=1, x=2"}
 
 
 def test_reconstruct_needs_two_shares():
-    with pytest.raises(InsufficientSharesError):
-        reconstruct([Share(1, 5)], p=7)
+    for share in FORMS:
+        with pytest.raises(InsufficientSharesError):
+            reconstruct([share(1, 5)], p=7)
     with pytest.raises(InsufficientSharesError):
         reconstruct([], p=7)
 
 
 def test_reconstruct_duplicate_owners_rejected():
-    with pytest.raises(ValueError):
-        reconstruct([Share(1, 5), Share(1, 5)], p=7)
+    for share in FORMS:
+        with pytest.raises(ValueError, match="distinct owners"):
+            reconstruct([share(1, 5), share(1, 5)], p=7)
+        with pytest.raises(ValueError, match="distinct owners"):
+            reconstruct([share(2, 1), share(1, 5), share(2, 3)], p=7)
 
 
 def test_roundtrip_exhaustive_p7():
