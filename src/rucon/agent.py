@@ -43,7 +43,9 @@ class AgentState:
     hs: dict = field(default_factory=dict)
     shares: dict = field(default_factory=dict)       # generator -> {point -> (q, b)}
     randoms: dict = field(default_factory=dict)      # (agent, round) -> int, own draws too
-    xrandoms: dict = field(default_factory=dict)     # (gen, round, link) -> {recipient -> bit}, own draws too
+    own_bits: dict = field(default_factory=dict)     # round -> {recipient -> {own link -> bit}}, the shape sent
+    heard_bits: dict = field(default_factory=dict)   # (sender, round) -> its xr dict to us, as delivered
+    xrandoms: dict = field(default_factory=dict)     # (reporter, round, link) -> {recipient -> bit}; known_bits makes each
     pending_ns: dict = field(default_factory=dict)   # sender -> its table, this round
     consensus: set = field(default_factory=set)
     decision: object = UNDECIDED
@@ -66,14 +68,14 @@ def _link_set(i: int, n: int) -> frozenset:
 
 
 def _gen_randoms(state: AgentState, r: int):
-    """Draw and register the message random and fault-evidence bits for round r."""
-    i, n = state.id, state.n
-    register_random(state.randoms, i, r, state.rng.randrange(n))
+    """Draw and register the message random and fault-evidence bits for
+    round r, the bits links outer and recipients ascending inner."""
+    i, n, rng = state.id, state.n, state.rng
+    register_random(state.randoms, i, r, rng.randrange(n))
+    per = state.own_bits[r] = {k: {} for k in range(1, n + 1) if k != i}
     for link in own_links(i, n):
-        slot = state.xrandoms.setdefault((i, r, link), {})
-        for k in range(1, n + 1):
-            if k != i:
-                slot[k] = state.rng.getrandbits(1)
+        for bits in per.values():
+            bits[link] = rng.getrandbits(1)
 
 
 def init_agent(i: int, n: int, t: int, value: int,
@@ -104,9 +106,7 @@ def build_message(state: AgentState, r: int, recipient: int,
         msg["rand"] = state.randoms[(i, r)]
         msg["ns"] = table
     if r <= t + 2:
-        xrandoms = state.xrandoms
-        msg["xr"] = {link: xrandoms[(i, r, link)][recipient]
-                     for link in own_links(i, state.n)}
+        msg["xr"] = dict(state.own_bits[r][recipient])
     if r == 1:
         msg["q"] = share_for(state.q_poly, recipient).value
         msg["b"] = share_for(state.b_poly, recipient).value
@@ -153,14 +153,12 @@ def _ingest(state: AgentState, j: int, r: int, msg: dict):
         _require(isinstance(xr, dict) and len(xr) == n - 1, "xr",
                  "bad evidence bits")
         # one bit per link of the sender, keyed canonically; no report of
-        # round r has arrived yet, so no registered bit can conflict
+        # round r has arrived yet, so no evidence slot was made without them
         bits = tuple(xr.values())
         _require(xr.keys() == _link_set(j, n)
                  and bits.count(0) + bits.count(1) == n - 1,
                  "xr-bit", "bad evidence bit")
-        xrandoms, i = state.xrandoms, state.id
-        for link, bit in xr.items():
-            xrandoms.setdefault((j, r, link), {})[i] = bit
+        state.heard_bits[(j, r)] = xr
     if r == 1:
         q, b = msg.get("q"), msg.get("b")
         _require(isinstance(q, int) and 0 <= q < p

@@ -23,10 +23,10 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .agent import UNDECIDED, NO_DECISION, build_message, own_links
+from .agent import UNDECIDED, NO_DECISION, build_message
 from .links import R, X, link_of
 from .sharing import make_polynomial, share_for
-from .verification import evidence_vector
+from .verification import known_bits
 
 
 class Deviation:
@@ -141,10 +141,9 @@ class Derandomized(Deviation):
 
     def _zero_round(self, st, r):
         st.randoms[(st.id, r)] = 0
-        for link in own_links(st.id, st.n):
-            per_recipient = st.xrandoms[(st.id, r, link)]
-            for k in per_recipient:
-                per_recipient[k] = 0
+        for bits in st.own_bits[r].values():
+            for link in bits:
+                bits[link] = 0
 
     def after_init(self, st):
         st.proposal = 0
@@ -235,7 +234,7 @@ class IgnorePeers(Deviation):
 
 def _fabricate_bits(st, rng, reporter, round_, link, n):
     """An evidence vector that matches whatever bits we genuinely know."""
-    known = st.xrandoms.get((reporter, round_, link), {})
+    known = known_bits(st, reporter, round_, link)
     return tuple(known.get(w, rng.randrange(2))
                  for w in range(1, n + 1) if w != reporter)
 
@@ -309,7 +308,7 @@ class LinkStateLie(Deviation):
         link, (ta, tb) = pick
         if case == 1:
             ro = r - 2 if r >= 3 else r - 1
-            bits = evidence_vector(st.xrandoms, i, ro, link)
+            bits = tuple(per[link] for per in st.own_bits[ro].values())
             return link, ((X, ro, i, bits), None)
         if case == 2:
             return link, ((R, r - 1, i, self.rng.randrange(n)), None)

@@ -16,7 +16,11 @@ Rule identifiers, by the phase that checks them:
                               sender's own link to src correct then
   phase 3, per receiver (verify_state, merge_state):
     source/claim13         -- a tagged report we could have heard is in our HS
-    random/*               -- report payloads must match registered randoms
+    random/random-conflict -- a correct-link report's message random must
+                              match the one registered for its round
+    random/xrandom-mismatch
+                           -- a faulty-link report's evidence bits must
+                              match the ones the checker knows (known_bits)
     round/claim9..claim12  -- round relations for direct-link merge cases
     round/case7..case9     -- round relations for indirect-link merge cases
     merge/case2            -- a faulty report for a link observed correct now
@@ -42,20 +46,6 @@ def register_random(randoms: dict, agent: int, round_: int, value: int) -> None:
         raise InconsistencyError(
             "random", "random-conflict", None, round_,
             f"agent {agent} round {round_}: {value} vs registered {known}",
-        )
-
-
-def register_xrandom(xrandoms: dict, gen: int, round_: int, link, recipient: int,
-                     bit: int) -> None:
-    """Record one fault-evidence bit; re-registration must agree."""
-    slot = xrandoms.setdefault((gen, round_, link), {})
-    known = slot.get(recipient)
-    if known is None:
-        slot[recipient] = bit
-    elif known != bit:
-        raise InconsistencyError(
-            "random", "xrandom-conflict", link, round_,
-            f"generator {gen} recipient {recipient}: {bit} vs {known}",
         )
 
 
@@ -248,6 +238,24 @@ def _recipients(gen: int, n: int) -> tuple:
     return tuple(w for w in range(1, n + 1) if w != gen)
 
 
+def known_bits(state, reporter: int, m: int, link) -> dict:
+    """The checking agent's slot of reporter's round-m evidence bits for
+    link, by recipient: what it knows of them, which later checks extend.
+    It is made on first use, from every own bit for its own reports, else
+    from the bit it heard from reporter at round m, if it heard one."""
+    key = (reporter, m, link)
+    slot = state.xrandoms.get(key)
+    if slot is None:
+        if reporter == state.id:
+            own = state.own_bits.get(m, {})
+            slot = {k: bits[link] for k, bits in own.items()}
+        else:
+            heard = state.heard_bits.get((reporter, m))
+            slot = {} if heard is None else {state.id: heard[link]}
+        state.xrandoms[key] = slot
+    return slot
+
+
 def verify_state(state, r: int, link, recv):
     """The source (claim 13) and random checks for one entry, received in
     round r, against the checking agent's own state; phase 2 has already
@@ -281,7 +289,7 @@ def verify_state(state, r: int, link, recv):
                 "random", "random-conflict", None, m,
                 f"agent {other} round {m}: {payload} vs registered {known}")
         return
-    slot = state.xrandoms.setdefault((reporter, m, link), {})
+    slot = known_bits(state, reporter, m, link)
     bits = dict(zip(_recipients(reporter, state.n), payload))
     if slot.items() <= bits.items():    # every registered bit agrees
         slot.update(bits)
@@ -389,12 +397,6 @@ def merge_state(state, r: int, sender: int, link, recv):
             append_hs(hs, link, t_a)
 
 
-def evidence_vector(xrandoms: dict, gen: int, round_: int, link) -> tuple:
-    """gen's round_ evidence bits for one of its links, recipients ascending."""
-    per_recipient = xrandoms[(gen, round_, link)]
-    return tuple(per_recipient[k] for k in sorted(per_recipient))
-
-
 class RoundMemo:
     """What round r's receivers share about the tables shipped to them.
 
@@ -438,7 +440,7 @@ def verify_and_update(state, received: dict, r: int, checked):
     """
     n, t, i = state.n, state.t, state.id
     ns, hs = state.ns, state.hs
-    randoms = state.randoms
+    randoms, own_bits = state.randoms, state.own_bits[r]
     senders = sorted(received)
     heard = set(senders)
 
@@ -455,7 +457,7 @@ def verify_and_update(state, received: dict, r: int, checked):
         entry = ns.get(link)
         if entry is not None and entry[0][0] == X:
             continue  # earliest failure round already recorded
-        t_a = (X, r, i, evidence_vector(state.xrandoms, i, r, link))
+        t_a = (X, r, i, tuple(bits[link] for bits in own_bits.values()))
         ns[link] = (t_a, None)
         append_hs(hs, link, t_a)
 

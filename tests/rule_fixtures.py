@@ -137,7 +137,8 @@ def _fx_claim7(mutate):
 def receiver(**kw):
     """The checking agent's state as phase 3 reads it. By default it has
     heard no one since round 1, so claim 13 never asks for its history."""
-    base = dict(id=1, n=5, ns={}, hs={}, randoms={}, xrandoms={},
+    base = dict(id=1, n=5, ns={}, hs={}, randoms={}, own_bits={},
+                heard_bits={}, xrandoms={},
                 lost={2: 1, 3: 1, 4: 1, 5: 1})
     base.update(kw)
     return SimpleNamespace(**base)
@@ -243,14 +244,6 @@ def _fx_claim14(mutate):
 def _fx_random_conflict(mutate):
     st = receiver(randoms={(4, 2): 0 if mutate else 1})
     _verify(st, (3, 4), ((R, 2, 3, 1), (3, 3)))
-
-
-@_register("random", "xrandom-conflict")
-def _fx_xrandom_conflict(mutate):
-    from rucon.verification import register_xrandom
-    xr = {}
-    register_xrandom(xr, 3, 2, (3, 4), 1, 1)
-    register_xrandom(xr, 3, 2, (3, 4), 1, 0 if mutate else 1)
 
 
 @_register("random", "xrandom-mismatch")

@@ -20,6 +20,8 @@ from rule_fixtures import FIXTURES
 
 SCALES = [(5, 1), (7, 2), (9, 3)]
 SWEEP_RUNS = 1000
+LARGE_SCALES = [(11, 4), (13, 5)]
+LARGE_RUNS = 20
 DEVIATION_RUNS = 1000
 
 
@@ -39,22 +41,43 @@ def honest_sweep():
             for n, t in SCALES}
 
 
+def _consensus_violation(res):
+    """What keeps an honest run from agreement, validity, termination and
+    no punishment; None when nothing does."""
+    decided = {d for d in res.decisions.values() if d not in ("no_decision",)}
+    if "bot" in res.decisions.values():
+        return "punishment outcome"
+    if "undecided" in res.decisions.values():
+        return "agent never terminated"
+    if len(decided) != 1:
+        return f"no agreement: {decided}"
+    if not decided <= set(res.values):
+        return f"invalid value: {decided}"
+    return None
+
+
 def test_honest_runs_reach_consensus(honest_sweep):
-    bad = []
-    for (n, t), results in honest_sweep.items():
-        for res in results:
-            decided = {d for d in res.decisions.values()
-                       if d not in ("no_decision",)}
-            if "bot" in res.decisions.values():
-                bad.append((n, t, res.config.seed, "punishment outcome"))
-            elif "undecided" in res.decisions.values():
-                bad.append((n, t, res.config.seed, "agent never terminated"))
-            elif len(decided) != 1:
-                bad.append((n, t, res.config.seed, f"no agreement: {decided}"))
-            elif not decided <= set(res.values):
-                bad.append((n, t, res.config.seed, f"invalid value: {decided}"))
+    bad = [(n, t, res.config.seed, why)
+           for (n, t), results in honest_sweep.items() for res in results
+           if (why := _consensus_violation(res)) is not None]
     _report("honest runs: agreement, validity, termination, no punishment "
             f"({len(SCALES)}x{SWEEP_RUNS} sampled patterns)",
+            not bad, f"{len(bad)} violations, first: {bad[:1]}")
+
+
+def test_honest_runs_at_larger_n():
+    bad = []
+    for n, t in LARGE_SCALES:
+        for seed in range(LARGE_RUNS):
+            res = run(RunConfig(n=n, t=t, seed=seed, sample_pattern=True))
+            why = _consensus_violation(res)
+            if why is not None:
+                bad.append((n, t, seed, why))
+            bad += [(n, t, seed, name, detail)
+                    for name, (ok, detail) in sorted(res.invariants.items())
+                    if not ok]
+    _report("honest runs at larger n: consensus with every invariant "
+            f"holding ({len(LARGE_SCALES)}x{LARGE_RUNS} sampled patterns)",
             not bad, f"{len(bad)} violations, first: {bad[:1]}")
 
 

@@ -32,7 +32,7 @@ def test_init_is_deterministic():
     b = _fresh(seed=5)
     assert (a.proposal, a.q_poly, a.b_poly) == (b.proposal, b.q_poly, b.b_poly)
     assert a.randoms == b.randoms
-    assert a.xrandoms == b.xrandoms
+    assert a.own_bits == b.own_bits
 
 
 def test_init_draws_all_evidence_bits():
@@ -40,8 +40,7 @@ def test_init_draws_all_evidence_bits():
     # (n-1)^2 bits in total per round
     for n in (3, 5):
         st = init_agent(1, n, 1 if n > 3 else 0, 0, random.Random(0))
-        total = sum(len(per) for (gen, r, _), per in st.xrandoms.items()
-                    if (gen, r) == (1, 1))
+        total = sum(len(bits) for bits in st.own_bits[1].values())
         assert total == (n - 1) ** 2
 
 

@@ -5,15 +5,17 @@ message to one peer: the envelope, the message random, a link-state table
 key, a report's parts, a source tag, an evidence bit, a round-1 share, a
 forwarded share or the consensus set. Whatever the change, the run must
 finish, and every honest agent that decides bottom must name the rule
-that caught it.
+that caught it. Evidence-bit corruptions also have a per-variant
+expectation: which rule punishes the targeted peer, or that nothing can.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rucon.deviations import Deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
-from rucon.simulator import Execution, RunConfig
+from rucon.simulator import Execution, FailurePattern, RunConfig
 
 def _entry(table, pick):
     """One (link, entry) of a non-empty table, in link order."""
@@ -222,3 +224,71 @@ def test_one_field_mutation_is_punished_by_rule(scale, seed, round_, peer,
         assert isinstance(err, InconsistencyError), (i, err)
         assert err.category and err.rule
         assert i in res.errors
+
+
+class EvidenceBitMutation(OneFieldMutation):
+    """Agent 1 changes the evidence bits of its round-r message to one
+    peer, named by id."""
+
+    def mutate_outgoing(self, st, r, msgs):
+        if r != self.round or self.peer not in msgs:
+            return msgs
+        msgs[self.peer] = mutate(msgs[self.peer], "xr", self.pick,
+                                 self.variant, self.peer, st.n, st.p)
+        self.applied = True
+        return msgs
+
+
+def _xr_run(n, t, seed, round_, peer, pick, variant, pattern=None):
+    """The targeted peer's final state after one evidence-bit mutation."""
+    dev = EvidenceBitMutation(round_, peer, None, pick, variant)
+    ex = Execution(RunConfig(n=n, t=t, seed=seed, pattern=pattern,
+                             deviation=dev))
+    for _ in ex.steps():
+        pass
+    assert dev.applied
+    return ex.agents[peer]
+
+
+# _mutate_xr's variants: 0 deletes a bit, 1 flips one, 2-6 give a bit a
+# bad value or file it under a bad key
+XR_RULES = {0: "xr", 2: "xr-bit", 3: "xr-bit", 4: "xr-bit", 5: "xr-bit",
+            6: "xr-bit"}
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+@pytest.mark.parametrize("variant", range(7))
+def test_evidence_bit_mutation_outcome(n, t, variant):
+    # every round that ships bits, towards every peer, with no failures;
+    # the seed also picks the link whose bit is changed
+    for seed in range(2):
+        for r in range(1, t + 3):
+            for peer in range(2, n + 1):
+                st = _xr_run(n, t, seed, r, peer, seed, variant)
+                where = (seed, r, peer)
+                if variant == 1:
+                    # a flipped bit is read only by a faulty-link report of
+                    # its link, and no link fails
+                    assert st.decision and st.decision[0] == "value", where
+                    continue
+                err = st.last_error
+                assert st.decision == ("bot",), where
+                assert (err.category, err.rule) == ("envelope",
+                                                    XR_RULES[variant]), where
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+def test_flipped_evidence_bit_exposes_the_report_it_backs(n, t):
+    # agent n crashes in the round whose bit of link (1, n) agent 1 flips,
+    # so agent 1 reports (1, n) faulty with its true bits next round; (1, n)
+    # is the last of agent 1's n-1 links, so pick n-2 names it
+    for seed in range(2):
+        for r in range(1, t + 3):
+            pattern = FailurePattern(crash={n: r})
+            for peer in range(2, n):
+                st = _xr_run(n, t, seed, r, peer, n - 2, 1, pattern)
+                err = st.last_error
+                where = (seed, r, peer)
+                assert st.decision == ("bot",), where
+                assert (err.category, err.rule, err.link) == (
+                    "random", "xrandom-mismatch", (1, n)), where

@@ -10,15 +10,15 @@ import pytest
 from conftest import run_agents
 from rule_fixtures import FIXTURES, receiver
 from rucon import simulator, verification
-from rucon.agent import UNDECIDED
+from rucon.agent import UNDECIDED, build_message
 from rucon.cli import write_trace
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
 from rucon.simulator import Execution, RunConfig, run
 from rucon.verification import (RoundMemo, merge_state, register_random,
-                                register_xrandom, verify_and_update,
-                                verify_msg_chain, verify_state)
+                                verify_and_update, verify_msg_chain,
+                                verify_state)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -60,13 +60,6 @@ def test_register_random_write_once():
     with pytest.raises(InconsistencyError) as exc:
         register_random(randoms, 3, 2, 1)
     assert exc.value.rule == "random-conflict"
-
-
-def test_register_xrandom_per_recipient():
-    xr = {}
-    register_xrandom(xr, 2, 1, (1, 2), 3, 1)
-    register_xrandom(xr, 2, 1, (1, 2), 4, 0)
-    assert xr[(2, 1, (1, 2))] == {3: 1, 4: 0}
 
 
 # --- merge case table --------------------------------------------------------
@@ -250,6 +243,33 @@ def test_shipped_tables_are_never_edited(n, t, type_id):
             shipped = [(table, copy.deepcopy(table))
                        for st in ex.agents.values()
                        for table in st.pending_ns.values()]
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+@pytest.mark.parametrize("type_id", [None] + sorted(DEVIATION_TYPES))
+def test_delivered_evidence_bits_are_never_edited(n, t, type_id):
+    # A receiver keeps each delivered xr dict as it came, and phase 3 reads
+    # its evidence checks from it, so no compute phase or deviation hook may
+    # edit one in place; a sender's bits are copied into each message.
+    for seed in range(2):
+        dev = (None if type_id is None
+               else make_deviation(type_id, agent=1, seed=seed))
+        ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                                 deviation=dev, check_invariants=False))
+        heard = []
+        for r in chain(ex.steps(), ["end"]):
+            for bits, frozen in heard:
+                assert bits == frozen, (type_id, seed, r)
+            heard = [(bits, dict(bits)) for st in ex.agents.values()
+                     for bits in st.heard_bits.values()]
+        for st in ex.agents.values():
+            own = copy.deepcopy(st.own_bits)
+            recipient = 2 if st.id == 1 else 1
+            for r in range(1, min(max(own), t + 2) + 1):
+                xr = build_message(st, r, recipient, {})["xr"]
+                for link in xr:
+                    xr[link] ^= 1
+            assert st.own_bits == own, (type_id, seed, st.id)
 
 
 @pytest.fixture
