@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InconsistencyError
-from .links import last_update, link_of
+from .links import last_update, own_links, peers
 from .sharing import (DEFAULT_PRIME, LinearPolynomial, make_polynomial,
                       reconstruct, share_for)
-from .verification import register_random, verify_and_update
+from .verification import verify_and_update
 from . import decision as decision_mod
 
 UNDECIDED = None
@@ -56,23 +56,19 @@ class AgentState:
 
 
 @lru_cache(maxsize=None)
-def own_links(i: int, n: int) -> tuple:
-    """Agent i's n-1 links, by ascending peer id."""
-    return tuple(link_of(i, j) for j in range(1, n + 1) if j != i)
-
-
-@lru_cache(maxsize=None)
 def _link_set(i: int, n: int) -> frozenset:
     """Agent i's n-1 links, as the key set its evidence bits must have."""
     return frozenset(own_links(i, n))
 
 
 def _gen_randoms(state: AgentState, r: int):
-    """Draw and register the message random and fault-evidence bits for
-    round r, the bits links outer and recipients ascending inner."""
+    """Draw the message random and fault-evidence bits for round r, the
+    bits links outer and recipients ascending inner."""
     i, n, rng = state.id, state.n, state.rng
-    register_random(state.randoms, i, r, rng.randrange(n))
-    per = state.own_bits[r] = {k: {} for k in range(1, n + 1) if k != i}
+    # no report of round r or later has arrived yet, so nothing registered
+    # our round-r random before this store
+    state.randoms[(i, r)] = rng.randrange(n)
+    per = state.own_bits[r] = {k: {} for k in peers(i, n)}
     for link in own_links(i, n):
         for bits in per.values():
             bits[link] = rng.getrandbits(1)
@@ -90,7 +86,7 @@ def init_agent(i: int, n: int, t: int, value: int,
     b_poly = make_polynomial(proposal, rng, p)
     state = AgentState(id=i, n=n, t=t, p=p, value=value, proposal=proposal,
                        q_poly=q_poly, b_poly=b_poly, rng=rng)
-    state.shares[i] = {i: (share_for(q_poly, i).value, share_for(b_poly, i).value)}
+    state.shares[i] = {i: (share_for(q_poly, i), share_for(b_poly, i))}
     _gen_randoms(state, 1)
     return state
 
@@ -108,8 +104,8 @@ def build_message(state: AgentState, r: int, recipient: int,
     if r <= t + 2:
         msg["xr"] = dict(state.own_bits[r][recipient])
     if r == 1:
-        msg["q"] = share_for(state.q_poly, recipient).value
-        msg["b"] = share_for(state.b_poly, recipient).value
+        msg["q"] = share_for(state.q_poly, recipient)
+        msg["b"] = share_for(state.b_poly, recipient)
     elif r == t + 3:
         msg["shares"] = {gen: pts[i] for gen, pts in sorted(state.shares.items())
                          if gen != recipient and i in pts}
@@ -124,10 +120,9 @@ def send_phase(state: AgentState, r: int) -> dict:
         return {}
     table = dict(state.ns)
     msgs = {}
-    for j in range(1, state.n + 1):
-        if j == state.id or j in state.lost:
-            continue
-        msgs[j] = build_message(state, r, j, table)
+    for j in peers(state.id, state.n):
+        if j not in state.lost:
+            msgs[j] = build_message(state, r, j, table)
     return msgs
 
 
@@ -144,7 +139,9 @@ def _ingest(state: AgentState, j: int, r: int, msg: dict):
         rand = msg.get("rand")
         _require(isinstance(rand, int) and 0 <= rand < n, "rand",
                  "bad message random")
-        register_random(state.randoms, j, r, rand)
+        # check_format admits only reports of rounds before r, so no
+        # report registered j's round-r random before this store
+        state.randoms[(j, r)] = rand
         ns = msg.get("ns")
         _require(isinstance(ns, dict), "ns", "missing link-state table")
         state.pending_ns[j] = ns
@@ -185,8 +182,8 @@ def receive_phase(state: AgentState, r: int, inbox: dict):
     if state.decision is not UNDECIDED:
         return
     state.pending_ns = {}
-    for j in range(1, state.n + 1):
-        if j == state.id or j in state.lost:
+    for j in peers(state.id, state.n):
+        if j in state.lost:
             continue
         msg = inbox.get(j)
         if msg is None:

@@ -11,16 +11,8 @@ invariant monitor checks as machinery_agreement.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import InconsistencyError
-from .links import X
-
-
-@lru_cache(maxsize=None)
-def _links(n: int) -> tuple:
-    """Every link among agents 1..n, in canonical order."""
-    return tuple((a, b) for a in range(1, n) for b in range(a + 1, n + 1))
+from .links import X, all_links
 
 
 def agent_status(settled: dict, r: int, n: int, t: int, removed=()):
@@ -41,7 +33,7 @@ def agent_status(settled: dict, r: int, n: int, t: int, removed=()):
     # per agent not yet removed, its non-faulty links to such peers
     good = dict.fromkeys(alive, len(alive) - 1)
     x_peers = {}        # agent -> its peers over a link faulty at round r
-    for link in _links(n):
+    for link in all_links(n):
         if settled.get((link, r)) == X:
             a, b = link
             x_peers.setdefault(a, set()).add(b)

@@ -24,7 +24,7 @@ import random
 from itertools import combinations
 
 from .agent import UNDECIDED, NO_DECISION, build_message
-from .links import R, X, link_of
+from .links import R, X, all_links, link_of, own_vector, peers
 from .sharing import make_polynomial, share_for
 from .verification import known_bits
 
@@ -110,10 +110,10 @@ class FakeValueShares(Deviation):
             return msgs
         fake = (st.value + 1) % self.domain_size
         poly = make_polynomial(fake, self.rng, st.p)
-        peers = sorted(msgs)
-        for j in self._targets(peers[:len(peers) // 2]):
+        recipients = sorted(msgs)
+        for j in self._targets(recipients[:len(recipients) // 2]):
             if j in msgs:
-                msgs[j]["q"] = share_for(poly, j).value
+                msgs[j]["q"] = share_for(poly, j)
                 self.applied = True
         return msgs
 
@@ -149,7 +149,7 @@ class Derandomized(Deviation):
         st.proposal = 0
         st.b_poly = make_polynomial(0, self.rng, st.p)
         q_at = st.shares[st.id][st.id][0]
-        st.shares[st.id][st.id] = (q_at, share_for(st.b_poly, st.id).value)
+        st.shares[st.id][st.id] = (q_at, share_for(st.b_poly, st.id))
         self._zero_round(st, 1)
         self.applied = True
 
@@ -197,8 +197,7 @@ class IgnorePeers(Deviation):
         if r < self.round:
             return inbox
         if self.dropped is None:
-            candidates = [j for j in range(1, self.n + 1)
-                          if j != st.id and j not in st.lost]
+            candidates = [j for j in peers(st.id, self.n) if j not in st.lost]
             self.dropped = set(candidates[:self.t + 1])
             self.applied = True
         return {j: msg for j, msg in inbox.items() if j not in self.dropped}
@@ -235,8 +234,7 @@ class IgnorePeers(Deviation):
 def _fabricate_bits(st, rng, reporter, round_, link, n):
     """An evidence vector that matches whatever bits we genuinely know."""
     known = known_bits(st, reporter, round_, link)
-    return tuple(known.get(w, rng.randrange(2))
-                 for w in range(1, n + 1) if w != reporter)
+    return tuple(known.get(w, rng.randrange(2)) for w in peers(reporter, n))
 
 
 class LinkStateLie(Deviation):
@@ -285,16 +283,12 @@ class LinkStateLie(Deviation):
         return msgs
 
     def _pick(self, st, want_direct, want_kind):
-        i, n = st.id, self.n
-        for k in range(1, n):
-            for p in range(k + 1, n + 1):
-                link = (k, p)
-                direct = i in link
-                if direct != want_direct:
-                    continue
-                entry = st.ns.get(link)
-                if entry is None or entry[0][0] != want_kind:
-                    continue
+        i = st.id
+        for link in all_links(self.n):
+            if (i in link) != want_direct:
+                continue
+            entry = st.ns.get(link)
+            if entry is not None and entry[0][0] == want_kind:
                 return link, entry
         return None
 
@@ -308,8 +302,7 @@ class LinkStateLie(Deviation):
         link, (ta, tb) = pick
         if case == 1:
             ro = r - 2 if r >= 3 else r - 1
-            bits = tuple(per[link] for per in st.own_bits[ro].values())
-            return link, ((X, ro, i, bits), None)
+            return link, ((X, ro, i, own_vector(st.own_bits[ro], link)), None)
         if case == 2:
             return link, ((R, r - 1, i, self.rng.randrange(n)), None)
         if case == 3:

@@ -9,12 +9,8 @@ observational: the monitor never feeds anything back into the protocol.
 from __future__ import annotations
 
 from .agent import BOT
-from .links import last_update, link_of
+from .links import all_links, last_update, link_of
 from . import decision as decision_mod
-
-
-def all_links(n: int):
-    return [(k, p) for k in range(1, n) for p in range(k + 1, n + 1)]
 
 
 def broken_pairs(agents: dict):

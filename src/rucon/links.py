@@ -1,8 +1,10 @@
 """Link identifiers, link-state reports, and the NS/HS knowledge stores.
 
 Every pair of agents is joined by one undirected link, identified by the
-canonically ordered id pair. An agent's knowledge of the network is held in
-two structures:
+canonically ordered id pair. This module names the vocabulary that every
+rule is stated over: an agent's peers and own links, every link, and the
+evidence vector of a faulty-link report. An agent's knowledge of the network
+is held in two structures:
 
   NS ("new states"): the latest known report per link, tagged with where the
       report came from. For a faulty link the recorded round is always the
@@ -28,6 +30,8 @@ the settled history that every later fault-status question asks.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InconsistencyError
 
 R = "R"
@@ -39,6 +43,31 @@ def link_of(a: int, b: int) -> tuple[int, int]:
     if a == b:
         raise ValueError(f"no self-link for agent {a}")
     return (a, b) if a < b else (b, a)
+
+
+@lru_cache(maxsize=None)
+def peers(i: int, n: int) -> tuple:
+    """Every agent of 1..n but i, ascending."""
+    return tuple(j for j in range(1, n + 1) if j != i)
+
+
+@lru_cache(maxsize=None)
+def own_links(i: int, n: int) -> tuple:
+    """Agent i's n-1 links, by ascending peer: zip with peers(i, n)."""
+    return tuple(link_of(i, j) for j in peers(i, n))
+
+
+@lru_cache(maxsize=None)
+def all_links(n: int) -> tuple:
+    """Every link among agents 1..n, in canonical order."""
+    return tuple((a, b) for a in range(1, n) for b in range(a + 1, n + 1))
+
+
+def own_vector(bits_by_recipient: dict, link) -> tuple:
+    """The evidence vector of an X report on one of the reporter's own
+    links: its bit for link to each recipient, from its draws of one round,
+    {recipient -> {own link -> bit}} with recipients ascending."""
+    return tuple(bits[link] for bits in bits_by_recipient.values())
 
 
 def append_hs(hs: dict, link: tuple[int, int], t_a) -> dict:

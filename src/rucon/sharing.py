@@ -11,7 +11,6 @@ inconsistent share sets with a bottom decision instead of voting them out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import InconsistencyError
 
@@ -39,15 +38,6 @@ class LinearPolynomial:
             raise ValueError(f"slope {self.slope} outside field [0, {self.p})")
 
 
-class Share(NamedTuple):
-    """One evaluation point of a sharing polynomial, owned by an agent id.
-
-    A plain (owner, value) pair is an equally good share for reconstruct."""
-
-    owner: int
-    value: int
-
-
 def make_polynomial(secret: int, rng, p: int = DEFAULT_PRIME) -> LinearPolynomial:
     """Build a degree-1 sharing polynomial with a uniformly random slope."""
     if not (0 <= secret < p):
@@ -55,13 +45,13 @@ def make_polynomial(secret: int, rng, p: int = DEFAULT_PRIME) -> LinearPolynomia
     return LinearPolynomial(constant=secret, slope=rng.randrange(p), p=p)
 
 
-def share_for(poly: LinearPolynomial, agent_id: int) -> Share:
-    """Evaluate the polynomial at a nonzero agent id."""
+def share_for(poly: LinearPolynomial, agent_id: int) -> int:
+    """Agent agent_id's share: the polynomial at that nonzero point."""
     if agent_id == 0:
         raise ValueError("evaluation at 0 would expose the secret")
     if agent_id < 0:
         raise ValueError(f"agent id must be positive, got {agent_id}")
-    return Share(owner=agent_id, value=(poly.constant + poly.slope * agent_id) % poly.p)
+    return (poly.constant + poly.slope * agent_id) % poly.p
 
 
 def reconstruct(shares, p: int = DEFAULT_PRIME) -> int:

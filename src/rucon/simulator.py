@@ -17,6 +17,7 @@ from .agent import (BOT, NO_DECISION, UNDECIDED, compute_phase, init_agent,
                     receive_phase, send_phase)
 from .deviations import Deviation
 from .invariants import InvariantMonitor
+from .links import peers
 from .verification import RoundMemo
 
 INF = float("inf")
@@ -72,8 +73,8 @@ def sample_blind_pattern(seed: int, n: int, t: int) -> FailurePattern:
         if kind == "crash":
             crash[a] = onset
             continue
-        for peer in range(1, n + 1):
-            if peer == a or rng.random() >= 0.6:
+        for peer in peers(a, n):
+            if rng.random() >= 0.6:
                 continue
             start = rng.randint(onset, t + 3)
             direction = kind if kind != "mixed" else rng.choice(

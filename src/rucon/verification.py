@@ -30,23 +30,9 @@ errors.InconsistencyError lists the categories raised outside this module.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import InconsistencyError
-from .links import R, X, append_hs, link_of
-
-
-def register_random(randoms: dict, agent: int, round_: int, value: int) -> None:
-    """Record one message random; re-registration must agree."""
-    key = (agent, round_)
-    known = randoms.get(key)
-    if known is None:
-        randoms[key] = value
-    elif known != value:
-        raise InconsistencyError(
-            "random", "random-conflict", None, round_,
-            f"agent {agent} round {round_}: {value} vs registered {known}",
-        )
+from .links import (R, X, all_links, append_hs, link_of, own_links,
+                    own_vector, peers)
 
 
 def _knows_round(t_a, r: int) -> bool:
@@ -102,10 +88,7 @@ def verify_msg_chain(n: int, t: int, r: int, sender: int, table: dict):
 
     connected: set = set()
     x_round: dict = {}   # disconnected peer -> earliest failure round of the direct link
-    for p in range(1, n + 1):
-        if p == sender:
-            continue
-        link = link_of(sender, p)
+    for p, link in zip(peers(sender, n), own_links(sender, n)):
         t_a = _report(table, link)
         if t_a is None:
             raise InconsistencyError(
@@ -125,54 +108,53 @@ def verify_msg_chain(n: int, t: int, r: int, sender: int, table: dict):
             "chain", "claim1", None, m,
             f"only {len(connected)} correct direct links, need {n - t - 1}")
 
-    for k in range(1, n):
-        for p in range(k + 1, n + 1):
-            if k == sender or p == sender:
+    for link in all_links(n):
+        if sender in link:
+            continue
+        k, p = link
+        t_a = _report(table, link)
+        k_conn = k in connected
+        p_conn = p in connected
+        if k_conn or p_conn:
+            # Claim 5: known at m-1, unknown from m on.
+            _require_exact(
+                t_a, m - 1, "claim5", link,
+                "link of a connected agent unknown at the previous round",
+                "connected-agent link must be reported for the previous round")
+            if k_conn == p_conn or t_a is None:
                 continue
-            link = (k, p)
-            t_a = _report(table, link)
-            k_conn = k in connected
-            p_conn = p in connected
-            if k_conn or p_conn:
-                # Claim 5: known at m-1, unknown from m on.
-                _require_exact(
-                    t_a, m - 1, "claim5", link,
-                    "link of a connected agent unknown at the previous round",
-                    "connected-agent link must be reported for the previous round")
-                if k_conn == p_conn or t_a is None:
+            # The disconnected end's links to the other disconnected
+            # peers. Claim 6: it was alive at m-1, so they must be known
+            # through m-2 and no further. Claim 7: the link failed at m',
+            # and the end was reachable until then, so they must be known
+            # through m'-2.
+            dis_end = p if k_conn else k
+            m_prime = t_a[1]
+            for q in x_round:
+                if q == dis_end:
                     continue
-                # The disconnected end's links to the other disconnected
-                # peers. Claim 6: it was alive at m-1, so they must be known
-                # through m-2 and no further. Claim 7: the link failed at m',
-                # and the end was reachable until then, so they must be
-                # known through m'-2.
-                dis_end = p if k_conn else k
-                m_prime = t_a[1]
-                for q in x_round:
-                    if q == dis_end:
-                        continue
-                    l2 = link_of(dis_end, q)
-                    t2 = _report(table, l2)
-                    if t_a[0] == R:
-                        _require_exact(
-                            t2, m - 2, "claim6", l2,
-                            "link of a recently alive agent unknown",
-                            "round must be exactly two behind")
-                    elif m_prime - 2 >= 1 and not _knows_round(t2, m_prime - 2):
-                        raise InconsistencyError(
-                            "chain", "claim7", l2, m_prime - 2,
-                            "state implied reachable is unknown")
-            else:
-                # Both endpoints disconnected.
-                if t_a is not None and t_a[1] > m - 2:
+                l2 = link_of(dis_end, q)
+                t2 = _report(table, l2)
+                if t_a[0] == R:
+                    _require_exact(
+                        t2, m - 2, "claim6", l2,
+                        "link of a recently alive agent unknown",
+                        "round must be exactly two behind")
+                elif m_prime - 2 >= 1 and not _knows_round(t2, m_prime - 2):
                     raise InconsistencyError(
-                        "chain", "claim3", link, t_a[1],
-                        "state of a doubly disconnected pair too recent")
-                m1 = max(x_round[k], x_round[p])
-                if m1 - 2 >= 1 and not _knows_round(t_a, m1 - 2):
-                    raise InconsistencyError(
-                        "chain", "claim4", link, m1 - 2,
-                        "state reachable before both disconnections is unknown")
+                        "chain", "claim7", l2, m_prime - 2,
+                        "state implied reachable is unknown")
+        else:
+            # Both endpoints disconnected.
+            if t_a is not None and t_a[1] > m - 2:
+                raise InconsistencyError(
+                    "chain", "claim3", link, t_a[1],
+                    "state of a doubly disconnected pair too recent")
+            m1 = max(x_round[k], x_round[p])
+            if m1 - 2 >= 1 and not _knows_round(t_a, m1 - 2):
+                raise InconsistencyError(
+                    "chain", "claim4", link, m1 - 2,
+                    "state reachable before both disconnections is unknown")
 
     # Claim 14: a report adopted from src at round m needs the sender's own
     # link to src correct at m. Claim 1 made every correct direct entry
@@ -232,12 +214,6 @@ def check_format(n: int, r: int, sender: int, link, recv):
             f"reporter {t_a[2]} is not an endpoint")
 
 
-@lru_cache(maxsize=None)
-def _recipients(gen: int, n: int) -> tuple:
-    """Everyone but gen, ascending: the recipients of gen's evidence bits."""
-    return tuple(w for w in range(1, n + 1) if w != gen)
-
-
 def known_bits(state, reporter: int, m: int, link) -> dict:
     """The checking agent's slot of reporter's round-m evidence bits for
     link, by recipient: what it knows of them, which later checks extend.
@@ -248,7 +224,7 @@ def known_bits(state, reporter: int, m: int, link) -> dict:
     if slot is None:
         if reporter == state.id:
             own = state.own_bits.get(m, {})
-            slot = {k: bits[link] for k, bits in own.items()}
+            slot = dict(zip(own, own_vector(own, link)))
         else:
             heard = state.heard_bits.get((reporter, m))
             slot = {} if heard is None else {state.id: heard[link]}
@@ -290,7 +266,7 @@ def verify_state(state, r: int, link, recv):
                 f"agent {other} round {m}: {payload} vs registered {known}")
         return
     slot = known_bits(state, reporter, m, link)
-    bits = dict(zip(_recipients(reporter, state.n), payload))
+    bits = dict(zip(peers(reporter, state.n), payload))
     if slot.items() <= bits.items():    # every registered bit agrees
         slot.update(bits)
         return
@@ -441,23 +417,16 @@ def verify_and_update(state, received: dict, r: int, checked):
     n, t, i = state.n, state.t, state.id
     ns, hs = state.ns, state.hs
     randoms, own_bits = state.randoms, state.own_bits[r]
-    senders = sorted(received)
-    heard = set(senders)
 
     # Phase 1: this round's direct-link detections.
-    for j in senders:
-        link = link_of(i, j)
-        t_a = (R, r, i, randoms[(j, r)])
-        ns[link] = (t_a, None)
-        append_hs(hs, link, t_a)
-    for j in range(1, n + 1):
-        if j == i or j in heard:
-            continue
-        link = link_of(i, j)
-        entry = ns.get(link)
-        if entry is not None and entry[0][0] == X:
-            continue  # earliest failure round already recorded
-        t_a = (X, r, i, tuple(bits[link] for bits in own_bits.values()))
+    for j, link in zip(peers(i, n), own_links(i, n)):
+        if j in received:
+            t_a = (R, r, i, randoms[(j, r)])
+        else:
+            entry = ns.get(link)
+            if entry is not None and entry[0][0] == X:
+                continue  # earliest failure round already recorded
+            t_a = (X, r, i, own_vector(own_bits, link))
         ns[link] = (t_a, None)
         append_hs(hs, link, t_a)
 
@@ -465,7 +434,7 @@ def verify_and_update(state, received: dict, r: int, checked):
     # table. A structural sweep runs first so the chain checks never
     # dereference a malformed report.
     work = []
-    for j in senders:
+    for j in sorted(received):
         table = received[j]
         key = (j, id(table))
         entry = checked.tables.get(key)

@@ -13,7 +13,7 @@ import pytest
 
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
-from rucon.sharing import Share, make_polynomial, reconstruct, share_for
+from rucon.sharing import make_polynomial, reconstruct, share_for
 from rucon.simulator import RunConfig, deviation_study, run
 from rucon.cli import main as cli_main
 from rule_fixtures import FIXTURES
@@ -109,19 +109,19 @@ def test_share_arithmetic_exhaustive():
     for p in (7, 101):
         for secret, slope in itertools.product(range(p), repeat=2):
             poly = make_polynomial(secret, _FixedRng(slope), p=p)
-            shares = [share_for(poly, i) for i in (1, 2, 3)]
+            shares = [(i, share_for(poly, i)) for i in (1, 2, 3)]
             for a, b in itertools.combinations(shares, 2):
                 got = reconstruct([a, b], p=p)
                 if got != secret:
-                    bad.append((p, secret, slope, a.owner, b.owner, got))
+                    bad.append((p, secret, slope, a[0], b[0], got))
         # a single share reveals nothing: over all slopes it is uniform
         for secret in range(p):
-            seen = {share_for(make_polynomial(secret, _FixedRng(s), p=p), 1).value
+            seen = {share_for(make_polynomial(secret, _FixedRng(s), p=p), 1)
                     for s in range(p)}
             if seen != set(range(p)):
                 bad.append((p, secret, "share not uniform over slopes"))
         with pytest.raises(InconsistencyError) as exc:
-            reconstruct([Share(1, 1), Share(2, 2), Share(3, 4)], p=p)
+            reconstruct([(1, 1), (2, 2), (3, 4)], p=p)
         if (exc.value.category, exc.value.rule) != ("share", "off-line"):
             bad.append((p, "off-line shares raised", str(exc.value)))
     _report("secret sharing: exhaustive split/reconstruct over GF(7) and "

@@ -1,12 +1,17 @@
 """Link ids, history bookkeeping, and the settled link history."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from rucon.agent import build_message, init_agent, receive_phase
 from rucon.errors import InconsistencyError
-from rucon.links import R, X, append_hs, last_update, link_of
+from rucon.links import (R, X, all_links, append_hs, last_update, link_of,
+                         own_links, own_vector, peers)
 from conftest import run_agents
 from rucon.simulator import FailurePattern
+from rucon.verification import RoundMemo, verify_and_update
 
 
 def test_link_of_canonicalizes():
@@ -14,6 +19,38 @@ def test_link_of_canonicalizes():
     assert link_of(1, 3) == (1, 3)
     with pytest.raises(ValueError):
         link_of(2, 2)
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_link_vocabulary(n):
+    agents = range(1, n + 1)
+    assert all_links(n) == tuple(sorted(
+        {link_of(a, b) for a in agents for b in agents if a != b}))
+    for i in agents:
+        assert peers(i, n) == tuple(j for j in agents if j != i)
+        assert own_links(i, n) == tuple(
+            link_of(i, j) for j in peers(i, n))
+        assert set(own_links(i, n)) == {
+            link for link in all_links(n) if i in link}
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_own_vector_is_what_phase1_ships_for_an_unheard_peer(n):
+    # agent 1 hears every peer but n in round 1 and files its faulty-link
+    # report on (1, n) with its bit for that link to each recipient
+    states = {i: init_agent(i, n, 0, 0, random.Random(f"{n}:{i}"))
+              for i in range(1, n + 1)}
+    me = states[1]
+    inbox = {j: build_message(states[j], 1, 1, {}) for j in peers(1, n)[:-1]}
+    receive_phase(me, 1, inbox)
+    verify_and_update(me, me.pending_ns, 1, RoundMemo())
+    link = link_of(1, n)
+    vector = own_vector(me.own_bits[1], link)
+    assert len(vector) == n - 1
+    assert vector == tuple(me.own_bits[1][w][link] for w in peers(1, n))
+    assert me.ns[link] == ((X, 1, 1, vector), None)
+    assert all(me.ns[other][0][0] == R
+               for other in own_links(1, n) if other != link)
 
 
 def test_append_hs_three_steps():

@@ -7,24 +7,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rucon.errors import InconsistencyError
-from rucon.sharing import (InsufficientSharesError, LinearPolynomial, Share,
+from rucon.sharing import (InsufficientSharesError, LinearPolynomial,
                            make_polynomial, reconstruct, share_for)
 
 
 def test_polynomial_evaluation():
     poly = LinearPolynomial(constant=3, slope=2, p=7)
-    assert share_for(poly, 1).value == 5
-    assert share_for(poly, 2).value == 0
+    assert share_for(poly, 1) == 5
+    assert share_for(poly, 2) == 0
 
 
 def test_zero_polynomial():
     poly = LinearPolynomial(constant=0, slope=0, p=7)
-    assert all(share_for(poly, j).value == 0 for j in range(1, 6))
+    assert all(share_for(poly, j) == 0 for j in range(1, 6))
 
 
 def test_wraparound_evaluation():
     poly = LinearPolynomial(constant=6, slope=6, p=7)
-    assert share_for(poly, 3).value == 3
+    assert share_for(poly, 3) == 3
 
 
 def test_seeded_slope_regression():
@@ -51,45 +51,37 @@ def test_share_at_zero_rejected():
         share_for(poly, -1)
 
 
-# reconstruct takes Share objects and plain (owner, value) pairs alike
-FORMS = (Share, lambda owner, value: (owner, value))
+# reconstruct takes plain (owner, value) pairs
 
 
 def test_reconstruct_two_shares():
-    for share in FORMS:
-        assert reconstruct([share(1, 5), share(2, 0)], p=7) == 3
+    assert reconstruct([(1, 5), (2, 0)], p=7) == 3
 
 
 def test_reconstruct_consistent_triple():
-    for share in FORMS:
-        assert reconstruct([share(3, 2), share(1, 5), share(2, 0)], p=7) == 3
+    assert reconstruct([(3, 2), (1, 5), (2, 0)], p=7) == 3
 
 
 def test_reconstruct_inconsistent_triple():
-    details = set()
-    for share in FORMS:
-        with pytest.raises(InconsistencyError) as exc:
-            reconstruct([share(1, 5), share(2, 0), share(3, 4)], p=7)
-        assert (exc.value.category, exc.value.rule) == ("share", "off-line")
-        details.add(exc.value.detail)
-    assert details == {"share at x=3 does not lie on the polynomial "
-                       "through x=1, x=2"}
+    with pytest.raises(InconsistencyError) as exc:
+        reconstruct([(1, 5), (2, 0), (3, 4)], p=7)
+    assert (exc.value.category, exc.value.rule) == ("share", "off-line")
+    assert exc.value.detail == ("share at x=3 does not lie on the polynomial "
+                                "through x=1, x=2")
 
 
 def test_reconstruct_needs_two_shares():
-    for share in FORMS:
-        with pytest.raises(InsufficientSharesError):
-            reconstruct([share(1, 5)], p=7)
+    with pytest.raises(InsufficientSharesError):
+        reconstruct([(1, 5)], p=7)
     with pytest.raises(InsufficientSharesError):
         reconstruct([], p=7)
 
 
 def test_reconstruct_duplicate_owners_rejected():
-    for share in FORMS:
-        with pytest.raises(ValueError, match="distinct owners"):
-            reconstruct([share(1, 5), share(1, 5)], p=7)
-        with pytest.raises(ValueError, match="distinct owners"):
-            reconstruct([share(2, 1), share(1, 5), share(2, 3)], p=7)
+    with pytest.raises(ValueError, match="distinct owners"):
+        reconstruct([(1, 5), (1, 5)], p=7)
+    with pytest.raises(ValueError, match="distinct owners"):
+        reconstruct([(2, 1), (1, 5), (2, 3)], p=7)
 
 
 def test_roundtrip_exhaustive_p7():
@@ -97,7 +89,7 @@ def test_roundtrip_exhaustive_p7():
     for secret in range(p):
         for slope in range(p):
             poly = LinearPolynomial(secret, slope, p)
-            shares = [share_for(poly, j) for j in range(1, 6)]
+            shares = [(j, share_for(poly, j)) for j in range(1, 6)]
             for a, b in combinations(shares, 2):
                 assert reconstruct([a, b], p) == secret
 
@@ -127,7 +119,7 @@ def test_all_pairs_agreement_p101():
     rng = random.Random(9)
     for _ in range(50):
         poly = make_polynomial(rng.randrange(p), rng, p)
-        shares = [share_for(poly, j) for j in range(1, 6)]
+        shares = [(j, share_for(poly, j)) for j in range(1, 6)]
         secrets = {reconstruct([a, b], p)
                    for a, b in combinations(shares, 2)}
         assert secrets == {poly.constant}
@@ -141,8 +133,8 @@ def test_value_and_proposal_shares_pair_up():
     q = make_polynomial(12, rng, 101)
     b = make_polynomial(88, rng, 101)
     points = [3, 5]
-    qs = [share_for(q, j) for j in points]
-    bs = [share_for(b, j) for j in points]
+    qs = [(j, share_for(q, j)) for j in points]
+    bs = [(j, share_for(b, j)) for j in points]
     assert reconstruct(qs, 101) == 12
     assert reconstruct(bs, 101) == 88
 
@@ -151,7 +143,7 @@ def test_value_and_proposal_shares_pair_up():
        ids=st.sets(st.integers(1, 100), min_size=2, max_size=6))
 def test_roundtrip_property(secret, slope, ids):
     poly = LinearPolynomial(secret, slope, p=101)
-    shares = [share_for(poly, j) for j in sorted(ids)]
+    shares = [(j, share_for(poly, j)) for j in sorted(ids)]
     assert reconstruct(shares, 101) == secret
 
 
@@ -159,5 +151,5 @@ def test_roundtrip_property(secret, slope, ids):
        ids=st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True))
 def test_reconstruct_order_insensitive(secret, slope, ids):
     poly = LinearPolynomial(secret, slope, p=101)
-    shares = [share_for(poly, j) for j in ids]
+    shares = [(j, share_for(poly, j)) for j in ids]
     assert reconstruct(shares, 101) == reconstruct(list(reversed(shares)), 101)

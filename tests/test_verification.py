@@ -7,18 +7,18 @@ from itertools import chain
 
 import pytest
 
+import reference_verifier
 from conftest import run_agents
 from rule_fixtures import FIXTURES, receiver
-from rucon import simulator, verification
+from rucon import agent, simulator, verification
 from rucon.agent import UNDECIDED, build_message
 from rucon.cli import write_trace
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
 from rucon.simulator import Execution, RunConfig, run
-from rucon.verification import (RoundMemo, merge_state, register_random,
-                                verify_and_update, verify_msg_chain,
-                                verify_state)
+from rucon.verification import (RoundMemo, merge_state, verify_and_update,
+                                verify_msg_chain, verify_state)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -52,14 +52,31 @@ def test_claim13_reads_the_round_a_peer_was_lost(lost_round, rule):
     assert (exc.value.category, exc.value.rule) == ("source", rule)
 
 
-def test_register_random_write_once():
-    randoms = {}
-    register_random(randoms, 3, 2, 4)
-    register_random(randoms, 3, 2, 4)
-    assert randoms == {(3, 2): 4}
-    with pytest.raises(InconsistencyError) as exc:
-        register_random(randoms, 3, 2, 1)
-    assert exc.value.rule == "random-conflict"
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+def test_no_random_of_a_round_precedes_its_receive_phase(n, t, monkeypatch):
+    # _ingest and _gen_randoms store message randoms with no conflict check.
+    # That rests on this: check_format admits only reports of earlier
+    # rounds, so before round r's receive phase no agent holds a random of
+    # round r or later but its own round-r draw. The random/random-conflict
+    # rule of verify_state stays live; its rule fixture covers it.
+    early, seen = [], Counter()
+    real = simulator.receive_phase
+
+    def receive(state, r, inbox):
+        seen[r] += 1
+        early.extend((state.id, r, key) for key in state.randoms
+                     if key[1] >= r and key != (state.id, r))
+        real(state, r, inbox)
+
+    monkeypatch.setattr(simulator, "receive_phase", receive)
+    for type_id in [None] + sorted(DEVIATION_TYPES):
+        for seed in range(3):
+            dev = (None if type_id is None
+                   else make_deviation(type_id, agent=1, seed=seed))
+            run(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                          deviation=dev, check_invariants=False))
+    assert sorted(seen) == list(range(1, t + 5))
+    assert early == []
 
 
 # --- merge case table --------------------------------------------------------
@@ -371,6 +388,65 @@ def test_memo_is_transparent(n, t, monkeypatch, tmp_path):
     assert len(private) == len(shared) == 22
     for k, (a, b) in enumerate(zip(shared, private)):
         assert a == b, k
+
+
+def _every_bound_deviation(t):
+    """(type, params) for every deviation type with every round and lie
+    sub-case that bind accepts at t."""
+    for type_id, cls in sorted(DEVIATION_TYPES.items()):
+        cases = ([{"case": c} for c in range(1, 9)]
+                 if "case" in cls.defaults else [{}])
+        for params in cases:
+            if "round" not in cls.defaults:
+                yield type_id, params
+                continue
+            first = make_deviation(type_id, **params).first_round
+            for r in range(first, t + cls.last_round + 1):
+                yield type_id, {**params, "round": r}
+
+
+def _outcome(config, path):
+    """A run's trace bytes, RunResult fields and every agent's end state."""
+    ex = Execution(config)
+    for _ in ex.steps():
+        pass
+    res = ex.result()
+    write_trace(str(path), config.trace)
+    tables = {i: (st.ns, st.hs, st.randoms, st.xrandoms, st.lost,
+                  st.decision, st.consensus, str(st.last_error))
+              for i, st in ex.agents.items()}
+    return path.read_bytes(), _result_fields(res), tables
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+def test_reference_verifier_agrees(n, t, monkeypatch, tmp_path):
+    # The memo shared between receivers, the phase-3 plans and the skip of
+    # an entry already processed change nothing a run computes or records:
+    # tests/reference_verifier.py, which checks and merges every entry of
+    # every table itself, gives the same trace, result and tables.
+    grid = [(None, {})] + list(_every_bound_deviation(t))
+    path = tmp_path / "trace.jsonl"
+    calls = Counter()
+
+    def plain_verifier(state, received, r, checked):
+        calls[r] += 1
+        reference_verifier.verify_and_update(state, received, r)
+
+    for type_id, params in grid:
+        for seed in range(5):
+            def config():
+                dev = (None if type_id is None else make_deviation(
+                    type_id, agent=1, seed=seed, **params))
+                return RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                                 deviation=dev, check_invariants=False,
+                                 trace=[])
+            real = _outcome(config(), path)
+            with monkeypatch.context() as m:
+                m.setattr(agent, "verify_and_update", plain_verifier)
+                plain = _outcome(config(), path)
+            assert plain == real, (type_id, params, seed)
+    assert len(grid) == {1: 42, 2: 54}[t]
+    assert sorted(calls) == list(range(1, t + 4))
 
 
 def test_honest_completeness_sampled_patterns():
