@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InconsistencyError
-from .links import last_update, own_links, peers
+from .links import last_update, only_bits, own_links, peers
 from .sharing import (DEFAULT_PRIME, LinearPolynomial, make_polynomial,
                       reconstruct, share_for)
 from .verification import verify_and_update
@@ -137,7 +137,7 @@ def _ingest(state: AgentState, j: int, r: int, msg: dict):
              and msg.get("round") == r, "header", "bad envelope")
     if r <= t + 3:
         rand = msg.get("rand")
-        _require(isinstance(rand, int) and 0 <= rand < n, "rand",
+        _require(type(rand) is int and 0 <= rand < n, "rand",
                  "bad message random")
         # check_format admits only reports of rounds before r, so no
         # report registered j's round-r random before this store
@@ -151,24 +151,24 @@ def _ingest(state: AgentState, j: int, r: int, msg: dict):
                  "bad evidence bits")
         # one bit per link of the sender, keyed canonically; no report of
         # round r has arrived yet, so no evidence slot was made without them
-        bits = tuple(xr.values())
         _require(xr.keys() == _link_set(j, n)
-                 and bits.count(0) + bits.count(1) == n - 1,
+                 and only_bits(tuple(xr.values())),
                  "xr-bit", "bad evidence bit")
         state.heard_bits[(j, r)] = xr
     if r == 1:
         q, b = msg.get("q"), msg.get("b")
-        _require(isinstance(q, int) and 0 <= q < p
-                 and isinstance(b, int) and 0 <= b < p, "shares", "bad shares")
+        _require(type(q) is int and 0 <= q < p
+                 and type(b) is int and 0 <= b < p, "shares", "bad shares")
         state.shares.setdefault(j, {})[state.id] = (q, b)
     elif r == t + 3:
         shares = msg.get("shares")
         _require(isinstance(shares, dict), "forwarded",
                  "missing forwarded shares")
         for gen, pair in shares.items():
-            _require(isinstance(gen, int) and 1 <= gen <= n and gen != state.id
-                     and isinstance(pair, tuple) and len(pair) == 2
-                     and all(isinstance(x, int) and 0 <= x < p for x in pair),
+            _require(type(gen) is int and 1 <= gen <= n and gen != state.id
+                     and type(pair) is tuple and len(pair) == 2
+                     and type(pair[0]) is int and 0 <= pair[0] < p
+                     and type(pair[1]) is int and 0 <= pair[1] < p,
                      "forwarded-share", "bad forwarded share")
             state.shares.setdefault(gen, {})[j] = pair
     elif r == t + 4:

@@ -9,7 +9,7 @@ observational: the monitor never feeds anything back into the protocol.
 from __future__ import annotations
 
 from .agent import BOT
-from .links import all_links, last_update, link_of
+from .links import all_links, last_update, link_of, round_state
 from . import decision as decision_mod
 
 
@@ -70,11 +70,11 @@ class InvariantMonitor:
 
     def _check_views(self, agents, source_round, check_round, bound):
         observers = observer_set(agents, self.faulty_by_round[check_round])
-        # each observer's opinion of a link: 'R', 'X' or 'O' for unknown
-        views = [last_update(st.ns, st.hs, source_round)
-                 for st in observers.values()]
+        stores = [(st.ns, st.hs) for st in observers.values()]
         for link in self.links:
-            seen = {v.get((link, source_round), "O") for v in views}
+            # each observer's opinion of the link: 'R', 'X' or 'O' for unknown
+            seen = {round_state(ns, hs, link, source_round) or "O"
+                    for ns, hs in stores}
             if len(seen) > 1:
                 self.failures.append(
                     f"{bound}: round-{source_round} state of {link} still "

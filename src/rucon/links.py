@@ -70,6 +70,16 @@ def own_vector(bits_by_recipient: dict, link) -> tuple:
     return tuple(bits[link] for bits in bits_by_recipient.values())
 
 
+_INT = {int}
+
+
+def only_bits(values: tuple) -> bool:
+    """Whether a non-empty tuple holds only the ints 0 and 1. A bool or a
+    float compares equal to one, but is no bit of a report or message."""
+    return (values.count(0) + values.count(1) == len(values)
+            and set(map(type, values)) == _INT)
+
+
 def append_hs(hs: dict, link: tuple[int, int], t_a) -> dict:
     """Record one endpoint report under (link, report round).
 
@@ -124,3 +134,15 @@ def last_update(ns: dict, hs: dict, rounds: int) -> dict:
             for r in range(t_a[1], rounds + 1):
                 settled[(link, r)] = X
     return settled
+
+
+def round_state(ns: dict, hs: dict, link, r: int):
+    """last_update's state of one link at round r alone: X or R, or None
+    when unknown. Reads ns and hs and writes to neither."""
+    entry = ns.get(link)
+    if entry is not None and entry[0][0] == X and entry[0][1] <= r:
+        return X
+    reports = hs.get((link, r))
+    if reports is None:
+        return None
+    return X if reports[0][0] == X or reports[-1][0] == X else R

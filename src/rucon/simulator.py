@@ -239,9 +239,10 @@ class Execution:
         tracing = self.sink is not None     # build no payload nobody keeps
         for r in self.rounds:
             # Round r's phase-2 outcome and phase-3 plan of each shipped
-            # table, and the round's intern map of table entries. None of it
-            # depends on the receiver, so every receiver shares it; see
-            # verification.verify_and_update.
+            # table, the round's intern map of table entries and its
+            # format-checked entry per link. None of it depends on the
+            # receiver, so every receiver shares it; see
+            # verification.RoundMemo.
             self.checked = RoundMemo()
             outboxes = {}
             for i, st in sorted(agents.items()):

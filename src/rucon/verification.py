@@ -26,13 +26,21 @@ Rule identifiers, by the phase that checks them:
     merge/case2            -- a faulty report for a link observed correct now
 
 errors.InconsistencyError lists the categories raised outside this module.
+
+Every agent relays every link's latest report each round, so one value
+reaches a receiver from many senders. RoundMemo and verify_and_update keep
+the work near one check per value, with every outcome unchanged: phase 2
+runs once per shipped table and re-checks a relayed entry object only for
+its sender; an adopted entry is one object in the NS of every adopter; and
+phase 3 skips an entry it has seen this round or that is its NS's own
+object, which it verified and merged itself.
 """
 
 from __future__ import annotations
 
 from .errors import InconsistencyError
-from .links import (R, X, all_links, append_hs, link_of, own_links,
-                    own_vector, peers)
+from .links import (R, X, all_links, append_hs, link_of, only_bits,
+                    own_links, own_vector, peers)
 
 
 def _knows_round(t_a, r: int) -> bool:
@@ -189,7 +197,7 @@ def check_format(n: int, r: int, sender: int, link, recv):
         else:
             bits = t_a[3]
             ok = (type(bits) is tuple and len(bits) == n - 1
-                  and bits.count(0) + bits.count(1) == n - 1)
+                  and only_bits(bits))
     if not ok:
         raise InconsistencyError("format", "bad-state", link, None,
                                  f"malformed report {t_a!r}")
@@ -200,10 +208,10 @@ def check_format(n: int, r: int, sender: int, link, recv):
                 "format", "bad-source", link, t_a[1],
                 "self-observed tag on a foreign link")
     else:
-        ok = (isinstance(t_b, tuple) and len(t_b) == 2
-              and isinstance(t_b[0], int) and 1 <= t_b[0] <= n
+        ok = (type(t_b) is tuple and len(t_b) == 2
+              and type(t_b[0]) is int and 1 <= t_b[0] <= n
               and t_b[0] != sender
-              and isinstance(t_b[1], int) and 1 <= t_b[1] <= r - 1
+              and type(t_b[1]) is int and 1 <= t_b[1] <= r - 1
               and t_a[1] < t_b[1])
         if not ok:
             raise InconsistencyError("format", "bad-source", link, t_a[1],
@@ -279,9 +287,11 @@ def verify_state(state, r: int, link, recv):
         slot[w] = bit
 
 
-def merge_state(state, r: int, sender: int, link, recv):
-    """Fold one verified report of sender's table, received in round r, into
-    the checking agent's tables (the 11-case table).
+def merge_state(state, link, recv, adopted):
+    """Fold one verified entry of a received table into the checking
+    agent's tables (the 11-case table). adopted is the entry as NS stores
+    it when the report is adopted: the report tagged with its sender and
+    round, one object per shipped table entry (RoundMemo.check).
 
     Each case first checks the round relations it rests on (claims 9-12 on
     direct links, cases 7-9 on indirect ones), then merges. Case 10
@@ -293,7 +303,7 @@ def merge_state(state, r: int, sender: int, link, recv):
     ns, hs, i = state.ns, state.hs, state.id
     local = ns.get(link)
     if local is None:                            # Case 11
-        ns[link] = (t_a, (sender, r))
+        ns[link] = adopted
         append_hs(hs, link, t_a)
         return
     lta = local[0]
@@ -327,7 +337,7 @@ def merge_state(state, r: int, sender: int, link, recv):
                     "round", "claim11", link, rr,
                     "endpoint failure rounds differ by more than one")
             if rr == lr - 1:
-                ns[link] = (t_a, (sender, r))
+                ns[link] = adopted
             append_hs(hs, link, t_a)
         else:                                    # Case 5: the partner's detection
             partner = link[0] if link[1] == i else link[1]
@@ -343,14 +353,14 @@ def merge_state(state, r: int, sender: int, link, recv):
     else:
         if lta[0] == R and t_a[0] == R:          # Case 6
             if rr > lr:
-                ns[link] = (t_a, (sender, r))
+                ns[link] = adopted
             append_hs(hs, link, t_a)
         elif lta[0] == R:                        # Case 7
             if (ri == li and lr >= rr) or (ri != li and lr > rr):
                 raise InconsistencyError(
                     "round", "case7", link, rr,
                     "failure round contradicts a correct-report we hold")
-            ns[link] = (t_a, (sender, r))
+            ns[link] = adopted
             append_hs(hs, link, t_a)
         elif t_a[0] == R:                        # Case 8
             if (ri == li and lr <= rr) or (ri != li and lr < rr):
@@ -369,7 +379,7 @@ def merge_state(state, r: int, sender: int, link, recv):
                     "round", "case9", link, rr,
                     "endpoint failure rounds differ by more than one")
             if lr > rr:
-                ns[link] = (t_a, (sender, r))
+                ns[link] = adopted
             append_hs(hs, link, t_a)
 
 
@@ -379,21 +389,67 @@ class RoundMemo:
     tables maps (sender, id(table)) to (table, None or the first phase-2
     error, plan). Phase 2 holds every check that reads only the table, so
     each one runs once per shipped table per round. The entry holds the
-    table, so the id cannot be reused within the round. A table that passed
-    phase 2 has a plan: its entries as (link, recv, uid) in
-    sorted(table.items()) order. ids interns each distinct (link, recv)
-    value once per round as a small int uid, so equal entries of different
-    tables share one uid and distinct ones never do.
+    table, so the id cannot be reused within the round.
+
+    A table that passed phase 2 has a plan: its entries as (link, recv,
+    uid, adopted) in sorted(table.items()) order. ids interns each distinct
+    (link, recv) value once per round as a small int uid, so equal entries
+    of different tables share one uid and distinct ones never do. adopted
+    is (report, (sender, r)), the entry that merge_state stores in NS when
+    it adopts the report. It is built once per table entry, so every
+    receiver that adopts it holds the same object, and next round each of
+    them ships that one object on.
+
+    passed holds, per link, the last tagged entry object that passed
+    check_format this round. check_format reads the sender only to test
+    that a tag does not name it, so when a later table ships that same
+    object at an int-typed key of that link, only that test runs again.
+    The key test matters: (True, 3) and (3.0, 4) compare and hash equal to
+    links. An own entry (no tag) always gets the full check.
     """
 
     def __init__(self):
         self.tables = {}
         self.ids = {}
+        self.passed = {}
 
-    def plan(self, table: dict) -> list:
-        ids = self.ids
-        return [(link, recv, ids.setdefault((link, recv), len(ids)))
-                for link, recv in sorted(table.items())]
+    def check(self, n: int, t: int, r: int, sender: int, table: dict) -> list:
+        """Phase 2 for sender's table, received in round r: its plan, from
+        the first receiver that checked it. Raises that receiver's
+        InconsistencyError, a fresh one with the same fields on a hit."""
+        key = (sender, id(table))
+        entry = self.tables.get(key)
+        if entry is None:
+            passed = self.passed
+            try:
+                # the structural sweep runs first, so the chain checks never
+                # dereference a malformed report
+                for link, recv in table.items():
+                    if (passed.get(link, _UNSEEN) is recv
+                            and type(link) is tuple and type(link[0]) is int
+                            and type(link[1]) is int
+                            and recv[1][0] != sender):
+                        continue
+                    check_format(n, r, sender, link, recv)
+                    if recv[1] is not None:
+                        passed[link] = recv
+                verify_msg_chain(n, t, r, sender, table)
+            except InconsistencyError as exc:
+                self.tables[key] = (table, exc, None)
+                raise
+            ids, tag = self.ids, (sender, r)
+            plan = [(link, recv, ids.setdefault((link, recv), len(ids)),
+                     (recv[0], tag))
+                    for link, recv in sorted(table.items())]
+            entry = self.tables[key] = (table, None, plan)
+        err = entry[1]
+        if err is not None:
+            raise InconsistencyError(err.category, err.rule, err.link,
+                                     err.round, err.detail)
+        return entry[2]
+
+
+_UNSEEN = object()   # no table entry is this object
 
 
 def verify_and_update(state, received: dict, r: int, checked):
@@ -409,8 +465,7 @@ def verify_and_update(state, received: dict, r: int, checked):
     the same outcome. So does phase 3's plan: a table's sort order and the
     value equality of its entries read only the table. checked is the
     RoundMemo that the Execution builds for round r and all its receivers
-    share: each shipped table is checked and planned once, and a hit on an
-    error raises a fresh InconsistencyError with the same fields. Phase 3
+    share: each shipped table is checked and planned once. Phase 3
     (verify_state and merge_state) reads only the checking agent's own
     state and the entry, and writes that state.
     """
@@ -431,39 +486,33 @@ def verify_and_update(state, received: dict, r: int, checked):
         append_hs(hs, link, t_a)
 
     # Phase 2: message-chain verification per sender, once per shipped
-    # table. A structural sweep runs first so the chain checks never
-    # dereference a malformed report.
-    work = []
-    for j in sorted(received):
-        table = received[j]
-        key = (j, id(table))
-        entry = checked.tables.get(key)
-        if entry is None:
-            try:
-                for link, recv in table.items():
-                    check_format(n, r, j, link, recv)
-                verify_msg_chain(n, t, r, j, table)
-            except InconsistencyError as exc:
-                checked.tables[key] = (table, exc, None)
-                raise
-            entry = checked.tables[key] = (table, None, checked.plan(table))
-        err = entry[1]
-        if err is not None:
-            raise InconsistencyError(err.category, err.rule, err.link,
-                                     err.round, err.detail)
-        work.append((j, entry[2]))
+    # table.
+    plans = [checked.check(n, t, r, j, received[j]) for j in sorted(received)]
 
     # Phase 3: per-link verify and merge, senders ascending and each table
-    # in link order. An entry equal in every field to one already processed
-    # this round (same uid) is skipped: its checks (claim 13, the randoms)
-    # passed at its first occurrence, and merging it again would change no
-    # table. merge_state does check a skipped entry's round relations only
-    # against the local entry as it stood at the first occurrence.
+    # in link order. Two skips, both exact:
+    # - An entry equal in every field to one already processed this round
+    #   (same uid): its checks (claim 13, the randoms) passed at its first
+    #   occurrence, and merging it again would change no table. merge_state
+    #   does check a skipped entry's round relations only against the local
+    #   entry as it stood at the first occurrence.
+    # - An entry that is the very object NS holds at its link: an adoption
+    #   this agent verified and merged itself in an earlier round, relayed
+    #   back by a peer that adopted it from the same table. Its report is
+    #   in our HS and its random or evidence bits are registered, so
+    #   verify_state would pass and register nothing. Merging an entry with
+    #   itself is case 5, 6 or 9 (a direct link holds an adoption only
+    #   after a failure), none of which writes. The test is on the whole
+    #   entry, not the report: a deviation can write a report into NS
+    #   without adding it to HS, and peers relay that report object back
+    #   under their own tags, which claim 13 must still check.
     done = set()
-    for j, plan in work:
-        for link, recv, uid in plan:
+    for plan in plans:
+        for link, recv, uid, adopted in plan:
             if uid in done:
                 continue
-            verify_state(state, r, link, recv)
-            merge_state(state, r, j, link, recv)
             done.add(uid)
+            if recv is ns.get(link):
+                continue
+            verify_state(state, r, link, recv)
+            merge_state(state, link, recv, adopted)

@@ -47,4 +47,4 @@ def verify_and_update(state, received, r):
     for j in senders:
         for link, recv in sorted(received[j].items()):
             verify_state(state, r, link, recv)
-            merge_state(state, r, j, link, recv)
+            merge_state(state, link, recv, (recv[0], (j, r)))

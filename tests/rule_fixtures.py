@@ -152,7 +152,7 @@ def _verify_merge(state, link, recv, r=5):
     """One report through phase 3 as production runs it: the round
     relations are checked by merge_state, case by case."""
     _verify(state, link, recv, r=r)
-    merge_state(state, r, 2, link, recv)
+    merge_state(state, link, recv, (recv[0], (2, r)))
 
 
 @_register("format", "bad-state")

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rucon.agent import build_message, init_agent, receive_phase
+from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import (R, X, all_links, append_hs, last_update, link_of,
-                         own_links, own_vector, peers)
+                         own_links, own_vector, peers, round_state)
 from conftest import run_agents
-from rucon.simulator import FailurePattern
+from rucon.simulator import Execution, FailurePattern, RunConfig
 from rucon.verification import RoundMemo, verify_and_update
 
 
@@ -208,6 +209,28 @@ def test_last_update_matches_backfill_then_classify(ns, hs, rounds):
     ns_before, hs_before = dict(ns), dict(hs)
     assert last_update(ns, hs, rounds) == _old_rule(ns, hs, rounds)
     assert ns == ns_before and hs == hs_before
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+def test_round_state_matches_last_update(n, t):
+    # every agent's stores at every pause of honest and deviant runs, every
+    # link and every round from 0 to past the last: one round of the
+    # settled history is round_state's, with None for absent
+    for type_id in [None] + sorted(DEVIATION_TYPES):
+        for seed in range(3):
+            dev = (None if type_id is None
+                   else make_deviation(type_id, agent=1, seed=seed))
+            ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                                     deviation=dev, check_invariants=False))
+            for _ in ex.steps():
+                for st_agent in ex.agents.values():
+                    ns, hs = st_agent.ns, st_agent.hs
+                    for r in range(t + 5):
+                        settled = last_update(ns, hs, r)
+                        for link in all_links(n):
+                            assert (round_state(ns, hs, link, r)
+                                    == settled.get((link, r))), (
+                                type_id, seed, link, r)
 
 
 @given(rand_a=st.integers(0, 4), rand_b=st.integers(0, 4),

@@ -292,3 +292,123 @@ def test_flipped_evidence_bit_exposes_the_report_it_backs(n, t):
                 assert st.decision == ("bot",), where
                 assert (err.category, err.rule, err.link) == (
                     "random", "xrandom-mismatch", (1, n)), where
+
+
+# --- a bool or float where an int belongs ------------------------------------
+# True == 1 and 1.0 == 1, and both hash alike, so a check by equality or by
+# isinstance(x, int) lets them through. Each variant ships one in every
+# round-r message of its deviant, and every peer it reaches must decide
+# bottom by the rule named.
+
+def _edit_table(msg, pick, edit):
+    table = dict(msg["ns"])      # the shipped table is shared: edit a copy
+    link = next(k for k, entry in sorted(table.items()) if pick(k, entry))
+    key, entry = edit(link, table.pop(link))
+    table[key] = entry
+    msg["ns"] = table
+
+
+def _edit_shares(msg, edit):
+    shares = dict(msg["shares"])
+    gen, pair = edit(1, shares.pop(1))      # agent 1 forwards its own share
+    shares[gen] = pair
+    msg["shares"] = shares
+
+
+def _edit_xr(msg):
+    xr = dict(msg["xr"])
+    link = min(xr)
+    xr[link] = bool(xr[link])
+    msg["xr"] = xr
+
+
+def _edit_bits(link, entry, to=float):
+    (kind, m, reporter, bits), t_b = entry
+    return link, ((kind, m, reporter, (to(bits[0]),) + bits[1:]), t_b)
+
+
+# variant -> (deviant, round, edit of one message, expected rule); at (5,1)
+# the deviant sends its own share at round 1, forwards shares at round 4,
+# first ships a tagged entry at round 3, and, with agent 5 crashed at
+# round 1, ships its faulty-link report on (1, 5) at round 2
+BOOL_VARIANTS = {
+    "rand": (1, 1, lambda m: m.update(rand=True), ("envelope", "rand")),
+    "share": (1, 1, lambda m: m.update(q=True), ("envelope", "shares")),
+    "forwarded-share": (1, 4, lambda m: _edit_shares(
+        m, lambda g, pair: (g, (pair[0], True))),
+        ("envelope", "forwarded-share")),
+    "forwarded-generator": (1, 4, lambda m: _edit_shares(
+        m, lambda g, pair: (True, pair)), ("envelope", "forwarded-share")),
+    "evidence-bit": (1, 1, _edit_xr, ("envelope", "xr-bit")),
+    "report-bit": (1, 2, lambda m: _edit_table(
+        m, lambda k, e: e[0][0] == X, lambda k, e: _edit_bits(k, e, bool)),
+        ("format", "bad-state")),
+    "report-bit-float": (1, 2, lambda m: _edit_table(
+        m, lambda k, e: e[0][0] == X, _edit_bits), ("format", "bad-state")),
+    "link-key": (1, 2, lambda m: _edit_table(
+        m, lambda k, e: k == (1, 2), lambda k, e: ((True, 2), e)),
+        ("format", "bad-state")),
+    # agent 2's round-3 table holds reports it adopted from agent 1
+    "tag-source": (2, 3, lambda m: _edit_table(
+        m, lambda k, e: e[1] is not None and e[1][0] == 1,
+        lambda k, e: (k, (e[0], (True, e[1][1])))), ("format", "bad-source")),
+    "tag-round": (1, 3, lambda m: _edit_table(
+        m, lambda k, e: e[1] is not None and e[1][1] == 2,
+        lambda k, e: (k, (e[0], (e[1][0], 2.0)))), ("format", "bad-source")),
+}
+
+
+class BoolField(Deviation):
+    """The deviant ships one field of its round-r messages edited."""
+
+    def __init__(self, agent, round_, edit):
+        super().__init__(agent=agent)
+        self.round, self.edit = round_, edit
+        self.peers = []
+
+    def mutate_outgoing(self, st, r, msgs):
+        if r != self.round:
+            return msgs
+        for j in msgs:
+            msgs[j] = dict(msgs[j])
+            self.edit(msgs[j])
+        self.peers = sorted(msgs)
+        self.applied = bool(msgs)
+        return msgs
+
+
+def _bool_run(variant):
+    agent, round_, edit, _ = BOOL_VARIANTS[variant]
+    dev = BoolField(agent, round_, edit)
+    pattern = FailurePattern(crash={5: 1}) if "report" in variant else None
+    ex = Execution(RunConfig(n=5, t=1, seed=0, pattern=pattern,
+                             deviation=dev))
+    return dev, ex
+
+
+@pytest.mark.parametrize("variant", sorted(BOOL_VARIANTS))
+def test_bool_or_float_int_is_punished_by_rule(variant):
+    dev, ex = _bool_run(variant)
+    for _ in ex.steps():
+        pass
+    assert dev.applied
+    for j in dev.peers:
+        st_j = ex.agents[j]
+        err = st_j.last_error
+        assert st_j.decision == ("bot",), (j, st_j.decision)
+        assert (err.category, err.rule) == BOOL_VARIANTS[variant][3], j
+
+
+def test_bool_random_is_refused_on_receipt():
+    # agent 1's real round-1 random at seed 0 is 1, which True equals; every
+    # receiver refuses True at once instead of shipping it on in a report
+    dev, ex = _bool_run("rand")
+    for r in ex.steps():
+        assert r == 1
+        assert ex.agents[1].randoms[(1, 1)] == 1
+        assert dev.peers == [2, 3, 4, 5]
+        for j in dev.peers:
+            err = ex.agents[j].last_error
+            assert ex.agents[j].decision == ("bot",), j
+            assert (err.category, err.rule) == ("envelope", "rand"), j
+        break

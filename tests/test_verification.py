@@ -83,7 +83,7 @@ def test_no_random_of_a_round_precedes_its_receive_phase(n, t, monkeypatch):
 
 def _merge(st, link, recv):
     """Merge a report of sender 2 into agent 1's tables at round 5."""
-    merge_state(st, 5, 2, link, recv)
+    merge_state(st, link, recv, (recv[0], (2, 5)))
 
 
 def test_merge_case1_direct_rr_appends():
@@ -345,11 +345,110 @@ def test_memo_plans_each_passed_table_once():
         uids = {}
         for key, (table, err, plan) in memo.tables.items():
             assert table is shipped[key] and err is None
-            assert [(link, recv) for link, recv, _ in plan] == sorted(
+            assert [(link, recv) for link, recv, _, _ in plan] == sorted(
                 table.items())
-            for link, recv, uid in plan:
+            for link, recv, uid, adopted in plan:
                 assert uids.setdefault((link, recv), uid) == uid
+                assert adopted == (recv[0], (key[0], r))
         assert len(set(uids.values())) == len(uids), r
+
+
+# --- relays of one shared entry object ----------------------------------------
+# Sender 2's round-5 table at (5,1) ships the tagged entry at link; it
+# passes check_format, then fails the chain checks, since the table holds
+# nothing else. The memo keeps the entry as format-checked at that link.
+
+def _shared(link):
+    return ((R, 2, link[1], 1), (link[1], 3))
+
+
+def _primed(link):
+    memo = RoundMemo()
+    with pytest.raises(InconsistencyError) as exc:
+        memo.check(5, 1, 5, 2, {link: _shared(link)})
+    assert (exc.value.category, exc.value.rule) == ("chain", "claim1")
+    return memo
+
+
+def _phase2_rule(memo, sender, table):
+    with pytest.raises(InconsistencyError) as exc:
+        memo.check(5, 1, 5, sender, table)
+    return exc.value.category, exc.value.rule
+
+
+@pytest.mark.parametrize("link,key", [((3, 4), (3.0, 4)), ((1, 3), (True, 3))])
+def test_shared_entry_under_an_equal_key_of_another_type(link, key):
+    memo = _primed(link)
+    entry = memo.passed[link]
+    assert key == link and hash(key) == hash(link)
+    assert _phase2_rule(memo, 5, {key: entry}) == ("format", "bad-state")
+
+
+def test_shared_entry_shipped_by_the_agent_its_tag_names():
+    link = (3, 4)
+    memo = _primed(link)
+    entry = memo.passed[link]
+    assert _phase2_rule(memo, entry[1][0], {link: entry}) == (
+        "format", "bad-source")
+
+
+def test_only_the_same_object_skips_the_format_check(monkeypatch):
+    link = (3, 4)
+    memo = _primed(link)
+    entry = memo.passed[link]
+    equal = tuple(list(entry))
+    assert equal == entry and equal is not entry
+    calls = []
+    real = verification.check_format
+    monkeypatch.setattr(verification, "check_format",
+                        lambda *args: calls.append(args) or real(*args))
+    assert _phase2_rule(memo, 5, {link: entry}) == ("chain", "claim1")
+    assert calls == []
+    assert _phase2_rule(memo, 5, {link: equal}) == ("chain", "claim1")
+    assert calls == [(5, 5, 5, link, equal)]
+
+
+def test_adopters_of_one_entry_hold_one_object():
+    # after round 3's compute phase of an honest (7,2) run, the agents that
+    # adopted the same entry of one shipped table hold the very same object
+    ex = Execution(RunConfig(n=7, t=2, seed=0, check_invariants=False))
+    for r in ex.steps():
+        if r == 4:
+            break
+    holders = {}
+    for i, st in ex.agents.items():
+        assert st.decision is UNDECIDED
+        for link, entry in st.ns.items():
+            if entry[1] is not None:
+                holders.setdefault((link, entry), []).append((i, entry))
+    assert max(len(held) for held in holders.values()) >= 3
+    for held in holders.values():
+        assert len({id(entry) for _, entry in held}) == 1, held
+
+
+def test_relays_of_an_own_adoption_skip_phase3(monkeypatch):
+    # at (13,4) a receiver gets many relays of entries it adopted itself;
+    # phase 3 verifies fewer entries than the distinct ones it was sent
+    n, t = 13, 4
+    verified = Counter()
+    real = verification.verify_state
+
+    def counted(state, r, link, recv):
+        verified[r] += 1
+        return real(state, r, link, recv)
+
+    monkeypatch.setattr(verification, "verify_state", counted)
+    ex = Execution(RunConfig(n=n, t=t, seed=0, sample_pattern=True,
+                             check_invariants=False))
+    distinct = Counter()
+    for r in ex.steps():
+        for st in ex.agents.values():
+            if st.decision is UNDECIDED and r <= t + 3:
+                distinct[r] += len({entry for table in st.pending_ns.values()
+                                    for entry in table.items()})
+    assert "bot" not in ex.result().decisions.values()
+    assert verified[2] == distinct[2]    # round-2 tables hold no adoption
+    assert sum(verified.values()) < sum(distinct.values())
 
 
 def _result_fields(res):
@@ -418,13 +517,17 @@ def _outcome(config, path):
     return path.read_bytes(), _result_fields(res), tables
 
 
-@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2), (13, 4)])
 def test_reference_verifier_agrees(n, t, monkeypatch, tmp_path):
     # The memo shared between receivers, the phase-3 plans and the skip of
     # an entry already processed change nothing a run computes or records:
     # tests/reference_verifier.py, which checks and merges every entry of
-    # every table itself, gives the same trace, result and tables.
-    grid = [(None, {})] + list(_every_bound_deviation(t))
+    # every table itself, gives the same trace, result and tables. At
+    # (13,4), where relays share entry objects the most, honest play only.
+    if n == 13:
+        grid, seeds = [(None, {})], range(3)
+    else:
+        grid, seeds = [(None, {})] + list(_every_bound_deviation(t)), range(5)
     path = tmp_path / "trace.jsonl"
     calls = Counter()
 
@@ -433,7 +536,7 @@ def test_reference_verifier_agrees(n, t, monkeypatch, tmp_path):
         reference_verifier.verify_and_update(state, received, r)
 
     for type_id, params in grid:
-        for seed in range(5):
+        for seed in seeds:
             def config():
                 dev = (None if type_id is None else make_deviation(
                     type_id, agent=1, seed=seed, **params))
@@ -445,7 +548,7 @@ def test_reference_verifier_agrees(n, t, monkeypatch, tmp_path):
                 m.setattr(agent, "verify_and_update", plain_verifier)
                 plain = _outcome(config(), path)
             assert plain == real, (type_id, params, seed)
-    assert len(grid) == {1: 42, 2: 54}[t]
+    assert len(grid) == {1: 42, 2: 54, 4: 1}[t]
     assert sorted(calls) == list(range(1, t + 4))
 
 
