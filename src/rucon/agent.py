@@ -45,7 +45,7 @@ class AgentState:
     randoms: dict = field(default_factory=dict)      # (agent, round) -> int, own draws too
     own_bits: dict = field(default_factory=dict)     # round -> {recipient -> {own link -> bit}}, the shape sent
     heard_bits: dict = field(default_factory=dict)   # (sender, round) -> its xr dict to us, as delivered
-    xrandoms: dict = field(default_factory=dict)     # (reporter, round, link) -> {recipient -> bit}; known_bits makes each
+    xrandoms: dict = field(default_factory=dict)     # (reporter, round, link) -> the vector that passed
     pending_ns: dict = field(default_factory=dict)   # sender -> its table, this round
     consensus: set = field(default_factory=set)
     decision: object = UNDECIDED
@@ -150,7 +150,7 @@ def _ingest(state: AgentState, j: int, r: int, msg: dict):
         _require(isinstance(xr, dict) and len(xr) == n - 1, "xr",
                  "bad evidence bits")
         # one bit per link of the sender, keyed canonically; no report of
-        # round r has arrived yet, so no evidence slot was made without them
+        # round r has arrived yet, so none was checked without them
         _require(xr.keys() == _link_set(j, n)
                  and only_bits(tuple(xr.values())),
                  "xr-bit", "bad evidence bit")

@@ -26,7 +26,6 @@ from itertools import combinations
 from .agent import UNDECIDED, NO_DECISION, build_message
 from .links import R, X, all_links, link_of, own_vector, peers
 from .sharing import make_polynomial, share_for
-from .verification import known_bits
 
 
 class Deviation:
@@ -232,9 +231,14 @@ class IgnorePeers(Deviation):
 
 
 def _fabricate_bits(st, rng, reporter, round_, link, n):
-    """An evidence vector that matches whatever bits we genuinely know."""
-    known = known_bits(st, reporter, round_, link)
-    return tuple(known.get(w, rng.randrange(2)) for w in peers(reporter, n))
+    """An evidence vector for another agent's report that matches whatever
+    bits we genuinely know: the vector that passed our check, else random
+    bits but the one reporter sent us. One draw per recipient either way."""
+    guess = [rng.randrange(2) for _ in range(n - 1)]
+    heard = st.heard_bits.get((reporter, round_))
+    if heard is not None:
+        guess[peers(reporter, n).index(st.id)] = heard[link]
+    return st.xrandoms.get((reporter, round_, link), tuple(guess))
 
 
 class LinkStateLie(Deviation):

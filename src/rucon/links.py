@@ -85,10 +85,10 @@ def append_hs(hs: dict, link: tuple[int, int], t_a) -> dict:
 
     Idempotent for byte-identical tuples (the same report legitimately
     arrives over several relay paths). Raises InconsistencyError when the
-    report cannot coexist with what is already recorded: a same-reporter
-    tuple with different content, or a third distinct tuple. That the
-    reporter is an endpoint (claim 8) is checked once, by check_format,
-    before any received report reaches here.
+    reporter already reported a different state for that round. Every
+    report that reaches here has a link endpoint as reporter: phase 1's
+    own, and received ones by claim 8, which check_format checks first. So
+    a round holds at most two reports, one per endpoint.
     """
     if t_a is None:
         raise ValueError("unknown states are absence, not HS entries")
@@ -106,11 +106,6 @@ def append_hs(hs: dict, link: tuple[int, int], t_a) -> dict:
                 "round", "hs-conflict", link, t_a[1],
                 f"reporter {reporter} already reported a different state",
             )
-    if len(existing) >= 2:
-        raise InconsistencyError(
-            "round", "hs-overflow", link, t_a[1],
-            "a third distinct report for one link round",
-        )
     hs[key] = existing + (t_a,)
     return hs
 

@@ -9,7 +9,9 @@ the rule that fired so the behaviour is testable rule by rule.
 Rule identifiers, by the phase that checks them:
 
   phase 2, once per shipped table (check_format, verify_msg_chain):
-    format/*               -- structural validity of a report
+    format/bad-state, format/bad-source
+                           -- structural validity of a link key and report,
+                              and of a report's source tag
     round/claim8           -- a report's reporter must be a link endpoint
     chain/claim1..claim7   -- message-chain structure of a received table
     source/claim14         -- a report adopted from src last round needs the
@@ -20,10 +22,13 @@ Rule identifiers, by the phase that checks them:
                               match the one registered for its round
     random/xrandom-mismatch
                            -- a faulty-link report's evidence bits must
-                              match the ones the checker knows (known_bits)
+                              equal the vector that passed for its key, and
+                              at first sighting the bits the checker knows
     round/claim9..claim12  -- round relations for direct-link merge cases
     round/case7..case9     -- round relations for indirect-link merge cases
     merge/case2            -- a faulty report for a link observed correct now
+    round/hs-conflict      -- a reporter's second, different report for one
+                              link round (links.append_hs)
 
 errors.InconsistencyError lists the categories raised outside this module.
 
@@ -222,24 +227,6 @@ def check_format(n: int, r: int, sender: int, link, recv):
             f"reporter {t_a[2]} is not an endpoint")
 
 
-def known_bits(state, reporter: int, m: int, link) -> dict:
-    """The checking agent's slot of reporter's round-m evidence bits for
-    link, by recipient: what it knows of them, which later checks extend.
-    It is made on first use, from every own bit for its own reports, else
-    from the bit it heard from reporter at round m, if it heard one."""
-    key = (reporter, m, link)
-    slot = state.xrandoms.get(key)
-    if slot is None:
-        if reporter == state.id:
-            own = state.own_bits.get(m, {})
-            slot = dict(zip(own, own_vector(own, link)))
-        else:
-            heard = state.heard_bits.get((reporter, m))
-            slot = {} if heard is None else {state.id: heard[link]}
-        state.xrandoms[key] = slot
-    return slot
-
-
 def verify_state(state, r: int, link, recv):
     """The source (claim 13) and random checks for one entry, received in
     round r, against the checking agent's own state; phase 2 has already
@@ -247,8 +234,11 @@ def verify_state(state, r: int, link, recv):
 
     A correct-link report carries the other endpoint's message random of
     its round, and a faulty-link report its reporter's evidence bits of
-    its round, one per recipient ascending. Each must agree with what the
-    agent has registered, and what it did not know is registered.
+    its round, one per recipient ascending. A random must equal the one
+    registered for its (agent, round), if any. An evidence vector must
+    equal the vector that passed for its (reporter, round, link); at its
+    first sighting, it must agree with the bits the agent knows itself.
+    What passes is registered.
     """
     t_a, t_b = recv
     kind, m, reporter, payload = t_a
@@ -273,18 +263,25 @@ def verify_state(state, r: int, link, recv):
                 "random", "random-conflict", None, m,
                 f"agent {other} round {m}: {payload} vs registered {known}")
         return
-    slot = known_bits(state, reporter, m, link)
-    bits = dict(zip(peers(reporter, state.n), payload))
-    if slot.items() <= bits.items():    # every registered bit agrees
-        slot.update(bits)
-        return
-    for w, bit in bits.items():         # name the first that does not
-        known = slot.get(w)
-        if known is not None and known != bit:
-            raise InconsistencyError(
-                "random", "xrandom-mismatch", link, m,
-                f"evidence bit for recipient {w} is wrong")
-        slot[w] = bit
+    key = (reporter, m, link)
+    known = state.xrandoms.get(key)
+    if known is None:
+        # First sighting: the agent knows its own vector when it is the
+        # reporter, else at most the one bit the reporter sent it.
+        known = payload
+        if reporter == state.id and m in state.own_bits:
+            known = own_vector(state.own_bits[m], link)
+        elif (reporter, m) in state.heard_bits:
+            k = peers(reporter, state.n).index(state.id)
+            known = (payload[:k] + (state.heard_bits[(reporter, m)][link],)
+                     + payload[k + 1:])
+    if known != payload:    # name the first recipient whose bit differs
+        w = next(w for w, a, b in zip(peers(reporter, state.n), known,
+                                      payload) if a != b)
+        raise InconsistencyError(
+            "random", "xrandom-mismatch", link, m,
+            f"evidence bit for recipient {w} is wrong")
+    state.xrandoms[key] = payload
 
 
 def merge_state(state, link, recv, adopted):

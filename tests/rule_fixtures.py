@@ -248,7 +248,8 @@ def _fx_random_conflict(mutate):
 
 @_register("random", "xrandom-mismatch")
 def _fx_xrandom_mismatch(mutate):
-    st = receiver(xrandoms={(3, 2, (3, 4)): {1: 1 if mutate else 0}})
+    # the report must carry the round-2 bit that reporter 3 sent agent 1
+    st = receiver(heard_bits={(3, 2): {(3, 4): 1 if mutate else 0}})
     _verify(st, (3, 4), ((X, 2, 3, (0, 1, 0, 1)), (3, 3)))
 
 

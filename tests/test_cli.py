@@ -66,6 +66,39 @@ def test_pattern_file_malformed_is_usage_error(tmp_path):
                      "--pattern", str(pattern)]) == 2, line
 
 
+def test_pattern_file_unknown_kind_is_usage_error(tmp_path, capsys):
+    pattern = tmp_path / "pattern.jsonl"
+    pattern.write_text('{"agent": 5, "kind": "drop", "from_round": 1}\n')
+    assert main(["run", "--n", "5", "--t", "1", "--seed", "3",
+                 "--pattern", str(pattern)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown failure kind 'drop'" in captured.err
+
+
+def test_pattern_file_skips_blank_lines(tmp_path, capsys):
+    pattern = tmp_path / "pattern.jsonl"
+    lines = ['{"agent": 5, "kind": "crash", "from_round": 1}',
+             '{"agent": 5, "kind": "send", "peer": 1, "from_round": 1}']
+    outs = []
+    for text in ("\n".join(lines) + "\n",
+                 "\n" + "\n  \n".join(lines) + "\n\n"):
+        pattern.write_text(text)
+        assert main(["run", "--n", "5", "--t", "1", "--seed", "3",
+                     "--pattern", str(pattern)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "no_decision" in outs[1]
+
+
+def test_utilities_need_three_numbers(capsys):
+    assert main(["run", "--n", "5", "--t", "1", "--seed", "0",
+                 "--utilities", "2,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "utilities must be three comma-separated numbers" in captured.err
+
+
 def test_batch(capsys):
     code = main(["batch", "--n", "5", "--t", "1", "--seed", "0",
                  "--runs", "5"])

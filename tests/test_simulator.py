@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from rucon.agent import BOT
 from rucon.deviations import make_deviation
+from rucon.links import X
 from rucon.simulator import (Execution, FailurePattern, RunConfig, deliver,
                              deviation_experiment, deviation_study, run,
                              sample_blind_pattern, sample_values)
@@ -219,6 +220,60 @@ def _empty_bot_tables(agents):
         if st.decision == BOT:
             st.ns.clear()
             st.hs.clear()
+
+
+# The monitor gates the acceptance sweep, so each of its checks must be
+# able to fail. A fault-free run at (5,1) passes them all; each test
+# tampers one observer's tables and reads the FAIL.
+
+def _fault_free():
+    return Execution(RunConfig(n=5, t=1, seed=0))
+
+
+def test_monitor_fails_a_state_still_disputed_at_its_bound():
+    ex = _fault_free()
+    real = ex.monitor.after_round
+
+    def after_round(agents, r):
+        # agent 3 forgets round 1 of (1,2) while the round-3 checks run
+        hs = agents[3].hs
+        saved = hs.pop(((1, 2), 1)) if r == 3 else None
+        real(agents, r)
+        if saved is not None:
+            hs[((1, 2), 1)] = saved
+
+    ex.monitor.after_round = after_round
+    for _ in ex.steps():
+        pass
+    report = ex.result().invariants
+    assert report["message_passing_bound"] == (
+        False, "message-passing bound: round-1 state of (1, 2) still "
+        "disputed at round 3: ['O', 'R']")
+    assert report["hs_convergence"] == (True, "")
+
+
+def test_monitor_fails_a_window_without_a_quiet_round():
+    ex = _fault_free()
+    for _ in ex.steps():
+        pass
+    # the reference observer, agent 1, sees agent 2 fail at round 3 and
+    # agent 3 at round 4: rounds 1 and 2 are quiet, but not one of 3 and 4
+    ns = ex.agents[1].ns
+    for link, m in (((2, 3), 3), ((2, 4), 3), ((3, 4), 4), ((3, 5), 4)):
+        ns[link] = ((X, m, link[0], (0,) * 4), None)
+    assert ex.result().invariants["clean_round_density"] == (
+        False, "no fault-quiet round in [3, 4]")
+
+
+def test_monitor_names_an_observer_whose_history_differs():
+    ex = _fault_free()
+    for _ in ex.steps():
+        pass
+    del ex.agents[3].hs[((1, 2), 1)]
+    report = ex.result().invariants
+    assert report["clean_round_density"][0]
+    assert report["hs_convergence"] == (
+        False, "agent 3 judges some link differently through round 2")
 
 
 @given(r=st.integers(1, 8), onset=st.integers(1, 8))

@@ -9,13 +9,13 @@ import pytest
 
 import reference_verifier
 from conftest import run_agents
-from rule_fixtures import FIXTURES, receiver
+from rule_fixtures import FIXTURES, _chain_table, receiver
 from rucon import agent, simulator, verification
 from rucon.agent import UNDECIDED, build_message
 from rucon.cli import write_trace
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
-from rucon.links import R, X
+from rucon.links import R, X, own_vector
 from rucon.simulator import Execution, RunConfig, run
 from rucon.verification import (RoundMemo, merge_state, verify_and_update,
                                 verify_msg_chain, verify_state)
@@ -50,6 +50,96 @@ def test_claim13_reads_the_round_a_peer_was_lost(lost_round, rule):
     with pytest.raises(InconsistencyError) as exc:
         verify_state(st, 5, (3, 4), recv)
     assert (exc.value.category, exc.value.rule) == ("source", rule)
+
+
+def _chain_error(check, *args):
+    with pytest.raises(InconsistencyError) as exc:
+        check(*args)
+    e = exc.value
+    return e.category, e.rule, e.link, e.round, e.detail
+
+
+BEYOND = "failure round beyond what relays could carry"
+
+
+def test_claim5_failure_round_beyond_what_relays_could_carry():
+    # sender 1's table of round m=4: a link between connected agents is
+    # known through m-1 and no later, so not failed at m
+    tbl = _chain_table()
+    tbl[(2, 3)] = ((X, 4, 2, (0,) * 6), (2, 4))
+    assert _chain_error(verify_msg_chain, 7, 2, 5, 1, tbl) == (
+        "chain", "claim5", (2, 3), 4, BEYOND)
+    # In a run check_format refuses that entry first: a tag's round exceeds
+    # its report's and is at most m.
+    assert _chain_error(RoundMemo().check, 7, 2, 5, 1, tbl)[:2] == (
+        "format", "bad-source")
+
+
+def test_claim6_failure_round_beyond_what_relays_could_carry():
+    # (2,6) says 6 was reachable at m-1, so its link to 7 is known through
+    # m-2 and no later: not failed at m-1. The entry is well formed, so
+    # phase 2 as a whole gets to claim 6.
+    tbl = _chain_table()
+    tbl[(6, 7)] = ((X, 3, 6, (0,) * 6), (2, 4))
+    assert _chain_error(RoundMemo().check, 7, 2, 5, 1, tbl) == (
+        "chain", "claim6", (6, 7), 3, BEYOND)
+
+
+def _sighting(st, payload, reporter=3, link=(3, 4)):
+    """The rule and detail verify_state gives one round-2 X report."""
+    try:
+        verify_state(st, 5, link, ((X, 2, reporter, payload), None))
+    except InconsistencyError as exc:
+        return exc.rule, exc.detail
+    return None
+
+
+def test_first_sighting_checks_the_bits_the_agent_knows():
+    # its own vector, when it is the reporter
+    own = {2: {w: {(1, 2): w % 2} for w in (2, 3, 4, 5)}}
+    st = receiver(own_bits=own)
+    assert _sighting(st, (0, 1, 1, 1), reporter=1, link=(1, 2)) == (
+        "xrandom-mismatch", "evidence bit for recipient 4 is wrong")
+    assert _sighting(st, (0, 1, 0, 1), reporter=1, link=(1, 2)) is None
+    assert st.xrandoms == {(1, 2, (1, 2)): (0, 1, 0, 1)}
+    # else the one bit the reporter sent it: agent 4 is third of 1, 2, 4, 5
+    st = receiver(id=4, heard_bits={(3, 2): {(3, 4): 1}})
+    assert _sighting(st, (0, 1, 0, 1)) == (
+        "xrandom-mismatch", "evidence bit for recipient 4 is wrong")
+    assert st.xrandoms == {}
+    assert _sighting(st, (0, 1, 1, 1)) is None
+    # else nothing: the first vector passes
+    st = receiver()
+    assert _sighting(st, (1, 1, 0, 0)) is None
+    assert st.xrandoms == {(3, 2, (3, 4)): (1, 1, 0, 0)}
+
+
+def test_later_sightings_must_equal_the_vector_that_passed():
+    st = receiver(heard_bits={(3, 2): {(3, 4): 1}})
+    assert _sighting(st, (1, 0, 0, 1)) is None
+    # agrees with the bit agent 1 heard, not with the vector that passed
+    assert _sighting(st, (1, 0, 1, 0)) == (
+        "xrandom-mismatch", "evidence bit for recipient 4 is wrong")
+    assert _sighting(st, (1, 0, 0, 1)) is None
+    assert st.xrandoms == {(3, 2, (3, 4)): (1, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+def test_registered_vectors_are_the_reporters_own(n, t):
+    # in honest runs every vector that passed is the one its reporter drew
+    vectors = 0
+    for seed in range(6):
+        ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                                 check_invariants=False))
+        for _ in ex.steps():
+            pass
+        agents = ex.agents
+        for st in agents.values():
+            for (z, m, link), vector in st.xrandoms.items():
+                assert type(vector) is tuple
+                assert vector == own_vector(agents[z].own_bits[m], link)
+                vectors += 1
+    assert vectors > 0
 
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
