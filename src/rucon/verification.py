@@ -13,7 +13,9 @@ Rule identifiers, by the phase that checks them:
                            -- structural validity of a link key and report,
                               and of a report's source tag
     round/claim8           -- a report's reporter must be a link endpoint
-    chain/claim1..claim7   -- message-chain structure of a received table
+    chain/claim1, chain/claim3..claim7
+                           -- message-chain structure of a received table
+                              (claim 2 is check_format's round bound)
     source/claim14         -- a report adopted from src last round needs the
                               sender's own link to src correct then
   phase 3, per receiver (verify_state, merge_state):
@@ -24,7 +26,8 @@ Rule identifiers, by the phase that checks them:
                            -- a faulty-link report's evidence bits must
                               equal the vector that passed for its key, and
                               at first sighting the bits the checker knows
-    round/claim9..claim12  -- round relations for direct-link merge cases
+    round/claim10..claim12 -- round relations for direct-link merge cases
+                              (claim 9 holds by construction, see merge_state)
     round/case7..case9     -- round relations for indirect-link merge cases
     merge/case2            -- a faulty report for a link observed correct now
     round/hs-conflict      -- a reporter's second, different report for one
@@ -85,7 +88,7 @@ def _require_exact(t_a, b: int, rule: str, link, unknown: str, stale: str):
 
 def verify_msg_chain(n: int, t: int, r: int, sender: int, table: dict):
     """Check sender's table, received in round r, against the legal relay
-    histories (claims 1-7 and 14).
+    histories (claims 1, 3-7 and 14; check_format bounds claim 2).
 
     The sender's connectivity partition (still-connected vs disconnected
     peers) is reconstructed from the table's own direct-link entries, then
@@ -94,9 +97,7 @@ def verify_msg_chain(n: int, t: int, r: int, sender: int, table: dict):
     """
     m = r - 1
     if m == 0:
-        if table:
-            raise InconsistencyError(
-                "chain", "claim2", None, 0, "nonempty table before round 1")
+        # check_format admits no report in round 1, so the table is empty
         return
 
     connected: set = set()
@@ -106,9 +107,6 @@ def verify_msg_chain(n: int, t: int, r: int, sender: int, table: dict):
         if t_a is None:
             raise InconsistencyError(
                 "chain", "claim1", link, m, "direct-link state unknown")
-        if t_a[1] > m:
-            raise InconsistencyError(
-                "chain", "claim2", link, t_a[1], "direct-link state from the future")
         if t_a[0] == R:
             if t_a[1] < m:
                 raise InconsistencyError(
@@ -290,11 +288,14 @@ def merge_state(state, link, recv, adopted):
     it when the report is adopted: the report tagged with its sender and
     round, one object per shipped table entry (RoundMemo.check).
 
-    Each case first checks the round relations it rests on (claims 9-12 on
-    direct links, cases 7-9 on indirect ones), then merges. Case 10
-    (received unknown) never reaches here: absence of the entry is handled
-    by the caller. Case 2, a faulty report for a direct link we observed
-    correct this very round, is always an inconsistency.
+    Each case first checks the round relations it rests on (claims 10-12 on
+    direct links, cases 7-9 on indirect ones), then merges. Case 1 needs
+    none: claim 9 (a relayed correct report is older than ours) holds, as
+    phase 1 writes a round-r report on every heard direct link, no case
+    writes a correct report there, and check_format admits only older
+    reports. Case 10 (received unknown) never reaches here: the caller
+    handles an absent entry. Case 2, a faulty report for a direct link we
+    observed correct this very round, is always an inconsistency.
     """
     t_a, _ = recv
     ns, hs, i = state.ns, state.hs, state.id
@@ -308,10 +309,6 @@ def merge_state(state, link, recv, adopted):
     rr, ri = t_a[1], t_a[2]
     if link[0] == i or link[1] == i:
         if lta[0] == R and t_a[0] == R:          # Case 1
-            if rr >= lr:
-                raise InconsistencyError(
-                    "round", "claim9", link, rr,
-                    "relayed correct-report at or beyond the current round")
             append_hs(hs, link, t_a)
         elif lta[0] == R:                        # Case 2
             raise InconsistencyError(

@@ -76,14 +76,6 @@ def _fx_claim1_count(mutate):
     _chain_check(tbl)
 
 
-@_register("chain", "claim2")
-def _fx_claim2(mutate):
-    tbl = _chain_table()
-    if mutate:
-        tbl[(1, 2)] = ((R, 5, 1, 0), None)  # state from the future
-    _chain_check(tbl)
-
-
 @_register("chain", "claim3")
 def _fx_claim3(mutate):
     tbl = _chain_table(dis_entry="X")
@@ -171,13 +163,6 @@ def _fx_bad_source(mutate):
 def _fx_claim8(mutate):
     reporter = 5 if mutate else 3   # must be an endpoint of (3,4)
     check_format(5, 5, 2, (3, 4), ((R, 2, reporter, 1), (3, 3)))
-
-
-@_register("round", "claim9")
-def _fx_claim9(mutate):
-    st = receiver(ns={(1, 2): ((R, 4, 1, 0), None)})
-    rd = 4 if mutate else 3         # a relay can only lag our own view
-    _verify_merge(st, (1, 2), ((R, rd, 2, 3), None))
 
 
 @_register("round", "claim10")

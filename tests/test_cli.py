@@ -2,7 +2,9 @@
 
 import json
 
+import rucon.cli
 from rucon.cli import main
+from rucon.simulator import ExperimentSummary, run
 
 
 def test_run_clean_exit(capsys):
@@ -145,6 +147,40 @@ def test_deviate_no_gain(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "no profitable gain" in out
+
+
+def test_deviate_gain_detected_exits_1(capsys, monkeypatch):
+    # no real type gains (test_acceptance), so the study is a crafted one
+    def study(base, makers, runs):
+        return [ExperimentSummary("type3", runs, 1.0, 1.0, 0.0, 0.01, True,
+                                  0.0, 1.0),
+                ExperimentSummary("type5", runs, 1.0, 1.5, 0.5, 0.1, False,
+                                  0.0, 1.0, guess_trials=4, guess_hits=1)]
+
+    monkeypatch.setattr(rucon.cli, "deviation_study", study)
+    code = main(["deviate", "--n", "5", "--t", "1", "--seed", "0",
+                 "--type", "all", "--runs", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines()[2] == (
+        "type5: honest 1.0000 deviant 1.5000 diff +0.5000 (se 0.1000) "
+        "detection 0.000 applied 1.000 guesses: 1/4 hit (0.2500)")
+    assert out.splitlines()[-1] == "verdict: GAIN DETECTED (worst: type5)"
+
+
+def test_run_prints_a_failed_invariant_with_its_detail(capsys, monkeypatch):
+    def failing(config):
+        res = run(config)
+        res.invariants["uniform_agreement"] = (False, "decided values [0, 1]")
+        return res
+
+    monkeypatch.setattr(rucon.cli, "run", failing)
+    code = main(["run", "--n", "5", "--t", "1", "--seed", "7"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert ("invariant uniform_agreement: FAIL (decided values [0, 1])"
+            in lines)
+    assert "invariant termination: ok" in lines    # no detail when ok
 
 
 def test_deviate_all_types(capsys):

@@ -1,10 +1,14 @@
 """Behavioral smoke tests for the ten deviation strategies."""
 
+import copy
+
 import pytest
 
+from rucon.agent import UNDECIDED
 from rucon.cli import main
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
+from rucon.links import R, X, link_of
 from rucon.simulator import (Execution, FailurePattern, RunConfig,
                              deviation_experiment, deviation_study, run)
 
@@ -130,6 +134,58 @@ def test_ignore_peers_records_guesses():
     assert res.deviation_applied
     assert res.guesses, "uniform guesses must be recorded"
     assert all(g["guess"] in range(5) for g in res.guesses)
+
+
+def _dropped_links_after_round_2(guess):
+    """The deviant's NS entries for its links to the peers it drops from
+    round 2, as round 2's compute phase leaves them."""
+    dev = make_deviation(5, agent=1, seed=0, guess=guess)
+    ex = Execution(RunConfig(n=5, t=1, seed=0, deviation=dev,
+                             check_invariants=False))
+    for r in ex.steps():
+        if r == 3:
+            st = ex.agents[1]
+            assert st.decision is UNDECIDED and dev.dropped
+            entries = {q: st.ns[link_of(1, q)] for q in sorted(dev.dropped)}
+    return entries, ex.result()
+
+
+def test_ignore_peers_without_guessing_rewrites_nothing():
+    entries, res = _dropped_links_after_round_2(guess=False)
+    assert res.guesses == []
+    # the honest phase-1 failure reports, by the deviant, stay as they are
+    assert all(ta[0] == X and ta[2] == 1 and tb is None
+               for ta, tb in entries.values())
+    guessed, res = _dropped_links_after_round_2(guess=True)
+    assert res.guesses
+    assert all(ta[:3] == (R, 2, 1) for ta, _ in guessed.values())
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 8])
+def test_targets_change_only_the_named_peer(type_id):
+    dev = make_deviation(type_id, agent=1, seed=0, targets=[3])
+    mutate = dev.mutate_outgoing
+    changed = set()
+
+    def recording(st, r, msgs):
+        before = copy.deepcopy(msgs)
+        after = mutate(st, r, msgs)
+        assert after.keys() == before.keys()
+        changed.update(j for j in before if after[j] != before[j])
+        return after
+
+    dev.mutate_outgoing = recording
+    assert _dev_run(dev).deviation_applied
+    assert changed == {3}
+
+
+def test_share_relay_target_without_a_message_stays_unapplied():
+    # agent 3 never reaches the deviant, which stops sending to it, so at
+    # round t+3 there is no message to 3 to corrupt
+    dev = make_deviation(8, agent=1, seed=0, targets=[3])
+    res = _dev_run(dev, pattern=FailurePattern(send_om={(3, 1): 1}))
+    assert not res.deviation_applied
+    assert "bot" not in res.decisions.values()
 
 
 def test_fake_shares_detected_often():

@@ -15,9 +15,11 @@ rule, link, round and text) that every rule fixture raises on its mutated
 input, recorded before the message-chain bounds were stated once, and
 re-recorded when the random/xrandom-conflict rule, which no run could
 reach, was deleted with its fixture; the new digest equals the old
-corpus's digest with that one fixture left out. The
-deviations-agent3 group (every type with deviant agent 3 and the invariant
-monitor on) was recorded before the receiver's history of who it heard was
+corpus's digest with that one fixture left out. It was re-recorded
+the same way when chain/claim2 and round/claim9, which check_format's round
+bound and phase 1 decide first for every input, were deleted with their two
+fixtures. The deviations-agent3 group (every type with deviant agent 3 and
+the invariant monitor on) was recorded before the receiver's history of who it heard was
 stored once, in its lost map. The three deviations groups were re-recorded
 when every punishing error became an InconsistencyError, which changed only
 the errors and the trace's inconsistency events of the runs that end in a
@@ -67,7 +69,7 @@ GOLDEN = {
     "lies-7-2":
         "470131e7b49acb0ebf23b2456b38b7b8ab90eece85ba1dc51ebef41f3b2bf149",
     "fixtures":
-        "b8f9e573cb007fdaa7e2fe2af2649bc703b429e6d76c41e687dbe57aaa081335",
+        "5276e36ea95bd44fdac86da051d4ae4344d30f68ef061f4988085db8bee5a413",
     "study-5-1":
         "d552e108002f0c88f26e0c0ac4edefc89318d3954fe9f03f2a2a643993fd3807",
     "study-7-2":

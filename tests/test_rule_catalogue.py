@@ -1,5 +1,5 @@
 """Every rule the library can raise is documented, and every link-state
-rule the docs list can be raised.
+rule the docs list is raised by verify_and_update on some input.
 
 The raised rules are read from the source with ast: each
 InconsistencyError call with a literal category and rule (both arms of a
@@ -8,13 +8,28 @@ agent._require (envelope) and verification._require_exact (chain). The
 docs are the docstrings of errors.py and verification.py, where a rule is
 named as category/rule, as a range category/claimA..claimB, or as
 category/* followed by "the rules:" and a comma-separated list.
+
+A rule's witness goes through the whole pipeline, verify_and_update, never
+a direct call of one check: a rule that only a hand-built input to
+check_format, verify_msg_chain, verify_state or merge_state can reach is
+one that no message can reach.
 """
 
 import ast
+import copy
 import re
 from pathlib import Path
 
+import pytest
+
 import rucon
+from conftest import run_agents
+from rucon import agent
+from rucon.deviations import make_deviation
+from rucon.errors import InconsistencyError
+from rucon.links import R, X
+from rucon.simulator import FailurePattern, RunConfig, run
+from rucon.verification import RoundMemo, verify_and_update
 
 SRC = Path(rucon.__file__).parent
 HELPERS = {"_require": ("envelope", 1), "_require_exact": ("chain", 2)}
@@ -67,7 +82,7 @@ def raised_rules():
 
 
 def _expand(first, last):
-    """claim9, claim12 -> claim9..claim12."""
+    """claim10, claim12 -> claim10..claim12."""
     prefix, start = re.fullmatch(r"([a-z-]+?)(\d+)", first).groups()
     stem, end = re.fullmatch(r"([a-z-]+?)(\d+)", last).groups()
     assert stem == prefix, (first, last)
@@ -101,9 +116,110 @@ def test_every_raised_rule_is_documented():
     assert sorted(raised - named) == []
 
 
+def _listed_link_state_rules():
+    return {(c, r) for c, r in documented("verification.py")
+            if c in LINK_STATE}
+
+
 def test_every_listed_link_state_rule_is_raised():
     raised, _ = raised_rules()
-    listed = {(c, r) for c, r in documented("verification.py")
-              if c in LINK_STATE}
+    listed = _listed_link_state_rules()
     assert ("round", "claim10") in listed and ("chain", "claim3") in listed
     assert sorted(listed - raised) == []
+
+
+# A deviant run per rule, from a sweep of every type and parameter value:
+# (n, t), seed, deviation type, its parameters, deviant agent.
+RUN_WITNESSES = {
+    ("chain", "claim1"): ((5, 1), 0, 5, {"guess": False, "round": 1}, 1),
+    ("chain", "claim3"): ((7, 2), 0, 6, {"case": 1, "round": 3}, 7),
+    ("chain", "claim4"): ((9, 3), 0, 6, {"case": 6, "round": 6}, 1),
+    ("chain", "claim5"): ((5, 1), 0, 6, {"case": 6, "round": 3}, 1),
+    ("chain", "claim6"): ((7, 2), 6, 6, {"case": 1, "round": 3}, 1),
+    ("chain", "claim7"): ((9, 3), 22, 6, {"case": 6, "round": 6}, 2),
+    ("merge", "case2"): ((5, 1), 0, 6, {"case": 1, "round": 2}, 1),
+    ("round", "case7"): ((5, 1), 16, 6, {"case": 2, "round": 2}, 1),
+    ("round", "case8"): ((5, 1), 0, 6, {"case": 1, "round": 2}, 1),
+    ("round", "case9"): ((5, 1), 22, 6, {"case": 1, "round": 2}, 1),
+    ("round", "claim11"): ((5, 1), 0, 5, {"round": 3}, 5),
+    ("round", "claim12"): ((7, 2), 0, 6, {"case": 7, "round": 5}, 1),
+    ("round", "hs-conflict"): ((5, 1), 20, 6, {"case": 3, "round": 4}, 5),
+    ("source", "claim13"): ((5, 1), 0, 5, {"round": 2}, 5),
+    ("source", "claim14"): ((5, 1), 0, 6, {"case": 1, "round": 3}, 1),
+    ("random", "random-conflict"): ((5, 1), 0, 5, {"round": 1}, 1),
+    ("random", "xrandom-mismatch"):
+        ((5, 1), 0, 6, {"case": 7, "round": 4}, 1),
+}
+
+
+# round/claim10, which no deviation type reaches, and the rules of
+# check_format, each by one edited entry of a real table: agent 1 checks
+# sender 3's table in round 4 of a (5,1) run where agent 2 has never
+# reached agent 1, so agent 1 holds link (1,2) failed since round 1. snap
+# is that round's snapshot; each maker returns the (link, entry) to write.
+CRAFTED_WITNESSES = {
+    # a correct report newer than the failure round agent 1 recorded
+    ("round", "claim10"):
+        lambda snap: ((1, 2), ((R, 2, 1, snap[3].randoms[(2, 2)]), (2, 3))),
+    # the sender's own link reported at round r: the round bound of
+    # check_format, which is what keeps a table from claiming the future
+    ("format", "bad-state"):
+        lambda snap: ((1, 3), ((R, 4, 3, snap[3].randoms[(1, 3)]), None)),
+    # a self-observed tag on a link the sender is not on
+    ("format", "bad-source"):
+        lambda snap: ((1, 2), ((R, 2, 1, snap[3].randoms[(2, 2)]), None)),
+    # a reporter that is not an endpoint of the link
+    ("round", "claim8"):
+        lambda snap: ((1, 2), ((R, 2, 4, snap[3].randoms[(2, 2)]), (2, 3))),
+}
+
+
+def test_every_listed_link_state_rule_has_a_pipeline_witness():
+    witnessed = RUN_WITNESSES.keys() | CRAFTED_WITNESSES.keys()
+    assert sorted(_listed_link_state_rules() ^ witnessed) == []
+
+
+@pytest.mark.parametrize("rule", sorted(RUN_WITNESSES),
+                         ids="/".join)
+def test_run_witness_raises_its_rule(rule, monkeypatch):
+    (n, t), seed, type_id, params, deviant = RUN_WITNESSES[rule]
+    raised = []
+
+    def recording(state, received, r, checked):
+        try:
+            verify_and_update(state, received, r, checked)
+        except InconsistencyError as exc:
+            raised.append((exc.category, exc.rule))
+            raise
+
+    monkeypatch.setattr(agent, "verify_and_update", recording)
+    res = run(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                        deviation=make_deviation(type_id, agent=deviant,
+                                                 seed=seed, **params)))
+    assert rule in raised
+    assert any(e.startswith("[%s/%s]" % rule) for e in res.errors.values())
+
+
+@pytest.fixture(scope="module")
+def round4():
+    _, snap = run_agents(5, 1, seed=0,
+                         pattern=FailurePattern(send_om={(2, 1): 1}),
+                         capture_round=4)
+    return snap
+
+
+@pytest.mark.parametrize("rule", sorted(CRAFTED_WITNESSES),
+                         ids="/".join)
+def test_crafted_witness_raises_its_rule(rule, round4):
+    snap = copy.deepcopy(round4)
+    state = snap[1]
+    assert state.ns[(1, 2)][0][:3] == (X, 1, 1)
+    verify_and_update(copy.deepcopy(state), dict(state.pending_ns), 4,
+                      RoundMemo())     # the unedited tables pass
+    link, entry = CRAFTED_WITNESSES[rule](snap)
+    table = dict(state.pending_ns[3])
+    table[link] = entry
+    with pytest.raises(InconsistencyError) as exc:
+        verify_and_update(state, {**state.pending_ns, 3: table}, 4,
+                          RoundMemo())
+    assert (exc.value.category, exc.value.rule) == rule

@@ -31,10 +31,11 @@ def test_rule_fixture(name):
 
 
 def test_empty_table_before_round_one():
+    # no report can be older than round 1, so phase 2 refuses any entry
     with pytest.raises(InconsistencyError) as exc:
-        verify_msg_chain(5, 1, 1, 2, {(1, 2): ((R, 1, 2, 0), None)})
-    assert (exc.value.category, exc.value.rule) == ("chain", "claim2")
-    verify_msg_chain(5, 1, 1, 2, {})   # nothing claimed, nothing to check
+        RoundMemo().check(5, 1, 1, 2, {(1, 2): ((R, 1, 2, 0), None)})
+    assert (exc.value.category, exc.value.rule) == ("format", "bad-state")
+    assert RoundMemo().check(5, 1, 1, 2, {}) == []   # nothing claimed
 
 
 @pytest.mark.parametrize("lost_round,rule", [(3, None), (4, "claim13")])
