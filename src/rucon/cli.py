@@ -17,6 +17,15 @@ from .simulator import (FailurePattern, RunConfig, _basic_invariants,
                         deviation_study, run)
 
 
+def _loads(text: str, where: str):
+    """json.loads, with input nested too deeply to parse raised as a
+    ValueError that names where the input came from."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where}: JSON nested too deeply") from None
+
+
 def _int_field(rec, key, lineno) -> int:
     v = rec.get(key)
     if type(v) is not int:
@@ -34,7 +43,7 @@ def load_pattern(path: str) -> FailurePattern:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            rec = _loads(line, f"pattern line {lineno}")
             if not isinstance(rec, dict):
                 raise ValueError(f"pattern line {lineno} is not an object")
             agent = _int_field(rec, "agent", lineno)
@@ -124,7 +133,7 @@ def _parse_params(pairs):
     for pair in pairs or ():
         key, _, raw = pair.partition("=")
         try:
-            params[key] = json.loads(raw)
+            params[key] = _loads(raw, f"--param {key}")
         except json.JSONDecodeError:
             params[key] = raw
     return params
@@ -168,7 +177,8 @@ def cmd_deviate(args) -> int:
 def cmd_verify_trace(args) -> int:
     try:
         with open(args.trace_file) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            records = [_loads(line, f"trace line {lineno}")
+                       for lineno, line in enumerate(fh, 1) if line.strip()]
         meta = next((r for r in records
                      if r.get("phase") == "meta" and r.get("event") == "config"),
                     None)

@@ -101,6 +101,9 @@ def elect(d_ids, values: dict, proposals: dict):
     (all proposals equal) the common proposal picks an id rank within the
     whole decision set; with several candidates the second-largest proposal
     picks an id rank within C. Ranks count from the highest id down.
+    An agent that fixes its proposal at quantile x of the uniform draw, q =
+    1-x, wins with probability (|D|-1)*q*(1-q)^(|D|-2) against honest draws:
+    up to 0.42 against the honest 1/|D| = 0.2 at |D| = 5.
     """
     d_ids = sorted(d_ids)
     if not d_ids:

@@ -2,29 +2,23 @@
 
 The monitor watches an honest run from outside: after each round it snapshots
 ground-truth faults from the agents' lost maps and checks that the agents'
-views actually converge as fast as the analysis promises. All checks are
-observational: the monitor never feeds anything back into the protocol.
+views actually converge as fast as the analysis promises. An agent's view is
+its settled link history, links.last_update, the same rule its decision reads.
+All checks are observational: the monitor never feeds anything back into the
+protocol.
 """
 
 from __future__ import annotations
 
 from .agent import BOT
-from .links import all_links, last_update, link_of, round_state
+from .links import all_links, last_update, link_of
 from . import decision as decision_mod
 
 
-def broken_pairs(agents: dict):
-    """Links severed so far, judged from the agents' own lost maps."""
-    pairs = set()
-    for a, st in agents.items():
-        for b in st.lost:
-            pairs.add(link_of(a, b))
-    return pairs
-
-
 def ground_faulty(agents: dict, t: int):
-    """Agents with more than t severed links; honest agents never qualify."""
-    broken = broken_pairs(agents)
+    """Agents with more than t links severed so far, judged from the agents'
+    own lost maps; honest agents never qualify."""
+    broken = {link_of(a, b) for a, st in agents.items() for b in st.lost}
     count = {a: 0 for a in agents}
     for (a, b) in broken:
         count[a] += 1
@@ -68,18 +62,6 @@ class InvariantMonitor:
         self.failures = []
         self.faulty_by_round = {}
 
-    def _check_views(self, agents, source_round, check_round, bound):
-        observers = observer_set(agents, self.faulty_by_round[check_round])
-        stores = [(st.ns, st.hs) for st in observers.values()]
-        for link in self.links:
-            # each observer's opinion of the link: 'R', 'X' or 'O' for unknown
-            seen = {round_state(ns, hs, link, source_round) or "O"
-                    for ns, hs in stores}
-            if len(seen) > 1:
-                self.failures.append(
-                    f"{bound}: round-{source_round} state of {link} still "
-                    f"disputed at round {check_round}: {sorted(seen)}")
-
     def after_round(self, agents: dict, r: int):
         """Call once per round, after every agent's compute phase."""
         t = self.t
@@ -92,8 +74,20 @@ class InvariantMonitor:
             self.pending.append((sharp, r, "sharper bound"))
         due = [p for p in self.pending if p[0] == r]
         self.pending = [p for p in self.pending if p[0] > r]
-        for check_round, source_round, bound in due:
-            self._check_views(agents, source_round, check_round, bound)
+        if not due:
+            return
+        # every due check has check round r, so one observer set serves all,
+        # and the history through r holds that through each source round
+        views = [last_update(st.ns, st.hs, r)
+                 for st in observer_set(agents, faulty).values()]
+        for _, source_round, bound in due:
+            for link in self.links:
+                # each observer's opinion of the link: 'R', 'X' or 'O' for unknown
+                seen = {view.get((link, source_round), "O") for view in views}
+                if len(seen) > 1:
+                    self.failures.append(
+                        f"{bound}: round-{source_round} state of {link} still "
+                        f"disputed at round {r}: {sorted(seen)}")
 
     def finalize(self, agents: dict) -> dict:
         """End-of-run checks; returns {invariant name: (ok, detail)}."""

@@ -130,14 +130,3 @@ def last_update(ns: dict, hs: dict, rounds: int) -> dict:
                 settled[(link, r)] = X
     return settled
 
-
-def round_state(ns: dict, hs: dict, link, r: int):
-    """last_update's state of one link at round r alone: X or R, or None
-    when unknown. Reads ns and hs and writes to neither."""
-    entry = ns.get(link)
-    if entry is not None and entry[0][0] == X and entry[0][1] <= r:
-        return X
-    reports = hs.get((link, r))
-    if reports is None:
-        return None
-    return X if reports[0][0] == X or reports[-1][0] == X else R

@@ -117,8 +117,10 @@ class RunConfig:
         if not (self.n >= 3 and self.n > 2 * self.t + 1):
             raise ValueError(f"need n>2t+1 and n>=3, got n={self.n}, t={self.t}")
         b0, b1, b2 = self.utilities
-        if not b0 > b1 > b2:
-            raise ValueError("utilities must be strictly decreasing")
+        # an infinite utility makes every paired difference inf or nan
+        if not (b0 > b1 > b2 and all(map(math.isfinite, self.utilities))):
+            raise ValueError("utilities must be finite and strictly "
+                             "decreasing")
         domain = self.value_domain      # a value's index is its encoding
         if not domain or "" in domain or len(set(domain)) != len(domain):
             raise ValueError(f"value domain needs distinct non-empty values, "

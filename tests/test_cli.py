@@ -93,6 +93,37 @@ def test_pattern_file_skips_blank_lines(tmp_path, capsys):
     assert "no_decision" in outs[1]
 
 
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    # nesting json.loads cannot follow names its input and exits 2, in
+    # each of the three places the front end parses JSON
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    common = ["--n", "5", "--t", "1", "--seed", "0"]
+    for argv, where in (
+            (["verify-trace", str(deep)], "trace line 1"),
+            (["run", "--pattern", str(deep)] + common, "pattern line 1"),
+            (["deviate", "--type", "1", "--runs", "1", "--param",
+              "targets=" + "[" * 50_000 + "]" * 50_000] + common,
+             "--param targets")):
+        assert main(argv) == 2, where
+        captured = capsys.readouterr()
+        assert captured.out == "", where
+        assert "Traceback" not in captured.err, where
+        assert f"{where}: JSON nested too deeply" in captured.err
+
+
+def test_utilities_must_be_finite(capsys):
+    # an infinite utility would make every paired difference inf or nan
+    common = ["--n", "5", "--t", "1", "--seed", "0"]
+    for utilities in ("inf,1,0", "1e400,1,0", "2,1,-inf"):
+        for argv in (["run"] + common,
+                     ["deviate", "--type", "2", "--runs", "2"] + common):
+            assert main(argv + ["--utilities", utilities]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "finite" in captured.err
+
+
 def test_utilities_need_three_numbers(capsys):
     assert main(["run", "--n", "5", "--t", "1", "--seed", "0",
                  "--utilities", "2,1"]) == 2

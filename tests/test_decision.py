@@ -1,5 +1,9 @@
 """Agent status, decision round/set, and the proposal election."""
 
+from collections import Counter
+from itertools import permutations
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,6 +197,22 @@ def test_elect_tied_second_max():
     # second-largest distinct proposal 7 held by {2,3}; 7 mod 2 = 1 picks
     # index 1 of [3, 2]
     assert elect([1, 2, 3, 4], values, {1: 9, 2: 7, 3: 7, 4: 3}) == "v2"
+
+
+@pytest.mark.parametrize("size", range(2, 7))
+def test_elect_picks_the_second_largest_of_distinct_proposals(size):
+    # every order of distinct proposals over a decision set: the holder of
+    # the second-largest proposal wins, so each member wins in exactly
+    # (size-1)! of the size! orders and an honest winner is uniform over D
+    ids = [2, 3, 5, 8, 13, 21][:size]
+    values = {a: f"v{a}" for a in ids}
+    wins = Counter()
+    for order in permutations(range(10, 10 * size + 1, 10)):
+        proposals = dict(zip(ids, order))
+        second = sorted(ids, key=proposals.get)[-2]
+        assert elect(ids, values, proposals) == values[second], proposals
+        wins[second] += 1
+    assert wins == dict.fromkeys(ids, factorial(size - 1))
 
 
 def test_elect_requires_complete_input():

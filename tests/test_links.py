@@ -9,7 +9,7 @@ from rucon.agent import build_message, init_agent, receive_phase
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import (R, X, all_links, append_hs, last_update, link_of,
-                         own_links, own_vector, peers, round_state)
+                         own_links, own_vector, peers)
 from conftest import run_agents
 from rucon.simulator import Execution, FailurePattern, RunConfig
 from rucon.verification import RoundMemo, verify_and_update
@@ -213,10 +213,12 @@ def test_last_update_matches_backfill_then_classify(ns, hs, rounds):
 
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
-def test_round_state_matches_last_update(n, t):
+def test_settled_round_is_fixed_by_its_own_horizon(n, t):
     # every agent's stores at every pause of honest and deviant runs, every
-    # link and every round from 0 to past the last: one round of the
-    # settled history is round_state's, with None for absent
+    # link and every pair of rounds s <= r from 0 to past the last: the
+    # history through r says of round s what the history through s says,
+    # which is what lets the invariant monitor read every source round of
+    # one check round from a single last_update
     for type_id in [None] + sorted(DEVIATION_TYPES):
         for seed in range(3):
             dev = (None if type_id is None
@@ -225,13 +227,14 @@ def test_round_state_matches_last_update(n, t):
                                      deviation=dev, check_invariants=False))
             for _ in ex.steps():
                 for st_agent in ex.agents.values():
-                    ns, hs = st_agent.ns, st_agent.hs
-                    for r in range(t + 5):
-                        settled = last_update(ns, hs, r)
-                        for link in all_links(n):
-                            assert (round_state(ns, hs, link, r)
-                                    == settled.get((link, r))), (
-                                type_id, seed, link, r)
+                    settled = [last_update(st_agent.ns, st_agent.hs, r)
+                               for r in range(t + 5)]
+                    for r, later in enumerate(settled):
+                        for s, own in enumerate(settled[:r + 1]):
+                            for link in all_links(n):
+                                assert (later.get((link, s))
+                                        == own.get((link, s))), (
+                                    type_id, seed, link, s, r)
 
 
 @given(rand_a=st.integers(0, 4), rand_b=st.integers(0, 4),

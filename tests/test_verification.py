@@ -3,7 +3,7 @@
 import copy
 import dataclasses
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -547,39 +547,6 @@ def _result_fields(res):
             for f in dataclasses.fields(res) if f.name != "config"}
 
 
-@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
-def test_memo_is_transparent(n, t, monkeypatch, tmp_path):
-    # Sharing phase 2 and the phase-3 plans between receivers changes
-    # nothing a run computes or records: every compute phase given a fresh
-    # memo of its own checks and plans each table itself, with the same
-    # trace and result.
-    def configs():
-        for type_id in [None] + sorted(DEVIATION_TYPES):
-            for seed in range(2):
-                dev = (None if type_id is None
-                       else make_deviation(type_id, agent=1, seed=seed))
-                yield RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
-                                deviation=dev, trace=[])
-
-    def traced(tag):
-        out = []
-        for k, config in enumerate(configs()):
-            res = run(config)
-            path = tmp_path / f"{tag}-{k}.jsonl"
-            write_trace(str(path), config.trace)
-            out.append((path.read_bytes(), _result_fields(res)))
-        return out
-
-    shared = traced("shared")
-    real = simulator.compute_phase
-    monkeypatch.setattr(simulator, "compute_phase",
-                        lambda state, r, checked: real(state, r, RoundMemo()))
-    private = traced("private")
-    assert len(private) == len(shared) == 22
-    for k, (a, b) in enumerate(zip(shared, private)):
-        assert a == b, k
-
-
 def _every_bound_deviation(t):
     """(type, params) for every deviation type with every round and lie
     sub-case that bind accepts at t."""
@@ -627,10 +594,13 @@ def test_reference_verifier_agrees(n, t, monkeypatch, tmp_path):
         reference_verifier.verify_and_update(state, received, r)
 
     for type_id, params in grid:
-        for seed in seeds:
+        # the deviant first and last in id order, so both ends of every
+        # sender-ascending loop
+        for deviant, seed in product((1,) if type_id is None else (1, n),
+                                     seeds):
             def config():
                 dev = (None if type_id is None else make_deviation(
-                    type_id, agent=1, seed=seed, **params))
+                    type_id, agent=deviant, seed=seed, **params))
                 return RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
                                  deviation=dev, check_invariants=False,
                                  trace=[])
@@ -638,9 +608,55 @@ def test_reference_verifier_agrees(n, t, monkeypatch, tmp_path):
             with monkeypatch.context() as m:
                 m.setattr(agent, "verify_and_update", plain_verifier)
                 plain = _outcome(config(), path)
-            assert plain == real, (type_id, params, seed)
+            assert plain == real, (type_id, params, deviant, seed)
     assert len(grid) == {1: 42, 2: 54, 4: 1}[t]
     assert sorted(calls) == list(range(1, t + 4))
+
+
+def _rebuilt(value):
+    """value with every dict, tuple and frozenset in it built anew, so the
+    copy shares no container with anything. copy.deepcopy will not do: it
+    returns a tuple of immutables as the very same object."""
+    kind = type(value)
+    if kind is dict:
+        return {_rebuilt(k): _rebuilt(v) for k, v in value.items()}
+    if kind is tuple:
+        return tuple([_rebuilt(v) for v in value])
+    if kind is frozenset:
+        return frozenset([_rebuilt(v) for v in value])
+    assert kind in (int, bool, float, str, type(None)), kind
+    return value
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+def test_delivered_objects_are_never_shared_state(n, t, monkeypatch,
+                                                  tmp_path):
+    # Every receiver given a copy of every message that shares no object
+    # with the sender, another receiver or another message computes and
+    # records the same run: the same trace, result and end tables. So no
+    # agent edits what it was sent, and the tables, memo, entry objects and
+    # identity skips that receivers share change no outcome.
+    grid = [(None, {})] + list(_every_bound_deviation(t))
+    path = tmp_path / "trace.jsonl"
+    real_deliver = simulator.deliver
+
+    def isolated(r, outboxes, pattern, n):
+        return {a: {s: _rebuilt(msg) for s, msg in inbox.items()}
+                for a, inbox in real_deliver(r, outboxes, pattern, n).items()}
+
+    for type_id, params in grid:
+        for seed in range(3):
+            def config():
+                dev = (None if type_id is None else make_deviation(
+                    type_id, agent=1, seed=seed, **params))
+                return RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                                 deviation=dev, trace=[])
+            shared = _outcome(config(), path)
+            with monkeypatch.context() as m:
+                m.setattr(simulator, "deliver", isolated)
+                own = _outcome(config(), path)
+            assert own == shared, (type_id, params, seed)
+    assert len(grid) == {1: 42, 2: 54}[t]
 
 
 def test_honest_completeness_sampled_patterns():
