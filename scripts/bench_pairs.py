@@ -9,9 +9,15 @@ seed of its own (pair k on seed k+1), with the tree that goes first
 alternating from pair to pair. Every run must end with `correct: true`,
 or the script stops with exit 1 and writes nothing. For each end-to-end
 metric that the change tree's BENCHMARK.json declares, the output holds
-every run's value, each side's median and quartiles, and the number of
-pairs the change won. An existing --out file keeps its other
-workloads, so one file can collect several invocations. Stdlib only.
+every run's value, each side's median and quartiles, the number of
+pairs the change won, and two verdicts: `within_bound`, whether the
+change's median is no worse than the parent's by more than the metric's
+`bound` (a fraction of the parent's median), and `gain_shown`, whether
+the change won at least nine tenths of the pairs (ties count for neither
+side) and the medians differ, in the change's favour, by more than the
+distance between the parent's quartiles. An existing --out file keeps
+its other workloads, so one file can collect several invocations.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -54,14 +60,19 @@ def summarise(runs: list, contract: dict) -> dict:
     out = {}
     for metric in contract["end_to_end"]:
         name, better = metric["name"], metric["better"]
-        wins = 0
-        for pair in runs:
-            p, c = pair["parent"][name], pair["change"][name]
-            wins += c < p if better == "lower" else c > p
-        out[name] = {"unit": metric["unit"], "better": better,
-                     "change_wins": wins, "pairs": len(runs)}
+        # sign turns every comparison into "larger is better"
+        sign = -1 if better == "lower" else 1
+        wins = sum(sign * pair["change"][name] > sign * pair["parent"][name]
+                   for pair in runs)
+        m = out[name] = {"unit": metric["unit"], "better": better,
+                         "change_wins": wins, "pairs": len(runs)}
         for side in SIDES:
-            out[name][side] = spread([pair[side][name] for pair in runs])
+            m[side] = spread([pair[side][name] for pair in runs])
+        parent, change = m["parent"], m["change"]
+        gain = sign * (change["median"] - parent["median"])
+        m["within_bound"] = gain >= -metric["bound"] * abs(parent["median"])
+        m["gain_shown"] = (10 * wins >= 9 * len(runs)
+                           and gain > parent["q3"] - parent["q1"])
     return out
 
 
@@ -106,7 +117,8 @@ def main(argv=None) -> int:
     for name, m in doc["workloads"][args.workload]["metrics"].items():
         print(f"{name}: parent {m['parent']['median']:.4g} change "
               f"{m['change']['median']:.4g} {m['unit']}, change better in "
-              f"{m['change_wins']}/{m['pairs']}")
+              f"{m['change_wins']}/{m['pairs']}, within bound "
+              f"{m['within_bound']}, gain shown {m['gain_shown']}")
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import is_
 
 from .errors import InconsistencyError
 from .links import last_update, only_bits, own_links, peers
@@ -59,6 +60,19 @@ class AgentState:
 def _link_set(i: int, n: int) -> frozenset:
     """Agent i's n-1 links, as the key set its evidence bits must have."""
     return frozenset(own_links(i, n))
+
+
+def _canonical_keys(xr: dict, j: int, n: int) -> bool:
+    """Whether xr, of n-1 keys, is keyed by sender j's links. An honest
+    sender's keys are own_links' own objects, in order (build_message
+    copies own_bits); any other keys must equal j's links and be plain
+    tuples of ints, as check_format asks of a table's keys: (True, 2) and
+    (1.0, 2) compare and hash equal to (1, 2)."""
+    if all(map(is_, xr, own_links(j, n))):
+        return True
+    return xr.keys() == _link_set(j, n) and all(
+        type(k) is tuple and type(k[0]) is int and type(k[1]) is int
+        for k in xr)
 
 
 def _gen_randoms(state: AgentState, r: int):
@@ -133,27 +147,35 @@ def _require(cond, rule, what):
 
 def _ingest(state: AgentState, j: int, r: int, msg: dict):
     n, t, p = state.n, state.t, state.p
-    _require(isinstance(msg, dict) and msg.get("sender") == j
-             and msg.get("round") == r, "header", "bad envelope")
+    # every message passes the checks up to the evidence bits, so they
+    # raise inline rather than through _require
+    if not (isinstance(msg, dict) and msg.get("sender") == j
+            and msg.get("round") == r):
+        raise InconsistencyError("envelope", "header", detail="bad envelope")
     if r <= t + 3:
         rand = msg.get("rand")
-        _require(type(rand) is int and 0 <= rand < n, "rand",
-                 "bad message random")
+        if not (type(rand) is int and 0 <= rand < n):
+            raise InconsistencyError("envelope", "rand",
+                                     detail="bad message random")
         # check_format admits only reports of rounds before r, so no
         # report registered j's round-r random before this store
         state.randoms[(j, r)] = rand
         ns = msg.get("ns")
-        _require(isinstance(ns, dict), "ns", "missing link-state table")
+        if not isinstance(ns, dict):
+            raise InconsistencyError("envelope", "ns",
+                                     detail="missing link-state table")
         state.pending_ns[j] = ns
     if r <= t + 2:
         xr = msg.get("xr")
-        _require(isinstance(xr, dict) and len(xr) == n - 1, "xr",
-                 "bad evidence bits")
+        if not (isinstance(xr, dict) and len(xr) == n - 1):
+            raise InconsistencyError("envelope", "xr",
+                                     detail="bad evidence bits")
         # one bit per link of the sender, keyed canonically; no report of
         # round r has arrived yet, so none was checked without them
-        _require(xr.keys() == _link_set(j, n)
-                 and only_bits(tuple(xr.values())),
-                 "xr-bit", "bad evidence bit")
+        if not (_canonical_keys(xr, j, n)
+                and only_bits(tuple(xr.values()))):
+            raise InconsistencyError("envelope", "xr-bit",
+                                     detail="bad evidence bit")
         state.heard_bits[(j, r)] = xr
     if r == 1:
         q, b = msg.get("q"), msg.get("b")
@@ -193,7 +215,8 @@ def receive_phase(state: AgentState, r: int, inbox: dict):
             _ingest(state, j, r, msg)
         except InconsistencyError as exc:
             state.decision = BOT
-            state.last_error = exc
+            # the traceback's frames reach state: a reference cycle
+            state.last_error = exc.with_traceback(None)
             return
     if len(state.lost) > state.t:
         state.decision = NO_DECISION
@@ -251,4 +274,4 @@ def compute_phase(state: AgentState, r: int, checked):
                 detail=f"consensus set holds {len(state.consensus)} values")
     except InconsistencyError as exc:
         state.decision = BOT
-        state.last_error = exc
+        state.last_error = exc.with_traceback(None)   # as in receive_phase

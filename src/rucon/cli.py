@@ -18,12 +18,17 @@ from .simulator import (FailurePattern, RunConfig, _basic_invariants,
 
 
 def _loads(text: str, where: str):
-    """json.loads, with input nested too deeply to parse raised as a
-    ValueError that names where the input came from."""
+    """json.loads, with input nested too deeply to parse, and any other
+    ValueError but a syntax error, raised as a ValueError that names where
+    the input came from (an integer of too many digits is one)."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{where}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _int_field(rec, key, lineno) -> int:
@@ -176,9 +181,15 @@ def cmd_deviate(args) -> int:
 
 def cmd_verify_trace(args) -> int:
     try:
+        records = []
         with open(args.trace_file) as fh:
-            records = [_loads(line, f"trace line {lineno}")
-                       for lineno, line in enumerate(fh, 1) if line.strip()]
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    rec = _loads(line, f"trace line {lineno}")
+                    if not isinstance(rec, dict):
+                        raise ValueError(f"trace line {lineno} is not an "
+                                         "object")
+                    records.append(rec)
         meta = next((r for r in records
                      if r.get("phase") == "meta" and r.get("event") == "config"),
                     None)

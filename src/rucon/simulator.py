@@ -8,6 +8,7 @@ cannot condition on message contents.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import statistics
@@ -337,10 +338,27 @@ class Execution:
 
 
 def run(config: RunConfig) -> RunResult:
-    ex = Execution(config)
-    for _ in ex.steps():
-        pass
-    return ex.result()
+    """One whole run, with the cyclic garbage collector paused.
+
+    A run allocates many container objects, and each collection re-scans
+    the agents' tables, which hold no reference cycle: a run's objects are
+    freed by reference counting alone. The one cycle a run could make, an
+    InconsistencyError kept with its traceback, is never kept (see
+    agent.receive_phase and verification.RoundMemo.check).
+    test_runs_leave_no_cyclic_garbage guards that premise. The collector's
+    state is restored on return and on error. Execution.steps() never
+    pauses it, as it yields to its caller mid-run.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ex = Execution(config)
+        for _ in ex.steps():
+            pass
+        return ex.result()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _error_payload(st):

@@ -1,4 +1,5 @@
-"""The summary arithmetic of scripts/bench_pairs.py: wins and quartiles."""
+"""The summary arithmetic of scripts/bench_pairs.py: wins, quartiles and
+the two verdicts."""
 
 import importlib.util
 from pathlib import Path
@@ -18,8 +19,8 @@ def bench_pairs():
 
 
 CONTRACT = {"end_to_end": [
-    {"name": "op_ms.p50", "unit": "ms", "better": "lower"},
-    {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "op_ms.p50", "unit": "ms", "better": "lower", "bound": 0.2},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
 ]}
 
 
@@ -64,3 +65,37 @@ def test_spread_uses_inclusive_quartiles(bench_pairs):
         [1.0, 2.0, 3.0, 4.0])
     assert out["op_ms.p50"]["change"] == {"median": 5.0, "q1": 3.5,
                                           "q3": 6.5}
+
+
+def test_within_bound_allows_a_loss_up_to_the_bound(bench_pairs):
+    # parent medians 10 ms and 5 ops/s; a bound of 0.2 allows 12 and 4
+    for change, ok in (((12.0, 4.0), True), ((12.5, 3.9), False),
+                       ((8.0, 6.0), True)):
+        out = bench_pairs.summarise(
+            [_pair((10.0, 5.0), change) for _ in range(3)], CONTRACT)
+        assert [m["within_bound"] for m in out.values()] == [ok, ok], change
+
+
+def _gain_runs(deltas):
+    """Ten pairs: the parent's op_ms.p50 spreads over 10.0..10.9, an IQR
+    of 0.45, and the change adds one delta to each; ops_per_s is tied."""
+    return [_pair((10.0 + 0.1 * k, 5.0), (10.0 + 0.1 * k + d, 5.0))
+            for k, d in enumerate(deltas)]
+
+
+@pytest.mark.parametrize("deltas,wins,shown", [
+    ([-1.0] * 9 + [0.5], 9, True),          # 9/10 wins, gap 1.0 > IQR
+    ([-1.0] * 8 + [0.5, 0.5], 8, False),    # too few wins
+    ([-1.0] * 9 + [0.0], 9, True),          # a tie counts for neither side
+    ([-1.0] * 8 + [0.0, 0.0], 8, False),
+    ([-0.3] * 10, 10, False),               # every pair, but gap < IQR
+])
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_the_iqr(
+        bench_pairs, deltas, wins, shown):
+    out = bench_pairs.summarise(_gain_runs(deltas), CONTRACT)
+    m = out["op_ms.p50"]
+    assert m["parent"]["q3"] - m["parent"]["q1"] == pytest.approx(0.45)
+    assert (m["change_wins"], m["gain_shown"]) == (wins, shown)
+    assert m["within_bound"]
+    assert (out["ops_per_s"]["change_wins"], out["ops_per_s"]["gain_shown"],
+            out["ops_per_s"]["within_bound"]) == (0, False, True)

@@ -112,6 +112,23 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
         assert f"{where}: JSON nested too deeply" in captured.err
 
 
+def test_malformed_json_messages_name_their_input(tmp_path, capsys):
+    not_object = tmp_path / "list.jsonl"
+    not_object.write_text('{"event": "noise"}\n\n[1,2]\n')
+    huge = "9" * 4_400        # more digits than int() converts
+    common = ["--n", "5", "--t", "1", "--seed", "0"]
+    for argv, message in (
+            (["verify-trace", str(not_object)], "trace line 3 is not an "
+                                                "object"),
+            (["deviate", "--type", "5", "--runs", "1", "--param",
+              f"round={huge}"] + common, "--param round: Exceeds the limit")):
+        assert main(argv) == 2, message
+        captured = capsys.readouterr()
+        assert captured.out == "", message
+        assert message in captured.err
+        assert "Traceback" not in captured.err, message
+
+
 def test_utilities_must_be_finite(capsys):
     # an infinite utility would make every paired difference inf or nan
     common = ["--n", "5", "--t", "1", "--seed", "0"]

@@ -81,7 +81,7 @@ def _mutate_xr(xr, pick, variant):
     xr = dict(xr)
     link = sorted(xr)[pick % len(xr)]
     a, b = link
-    k = variant % 7
+    k = variant % 9
     if k == 0:
         del xr[link]
     elif k == 1:
@@ -94,8 +94,12 @@ def _mutate_xr(xr, pick, variant):
         xr[(b, a)] = xr.pop(link)
     elif k == 5:
         xr[(a, a)] = xr.pop(link)
-    else:
+    elif k == 6:
         xr[(a, b, 0)] = xr.pop(link)
+    elif k == 7:
+        xr[(True, b)] = xr.pop(link)    # the deviant is agent 1, so a == 1
+    else:
+        xr[(float(a), b)] = xr.pop(link)
     return xr
 
 
@@ -250,14 +254,15 @@ def _xr_run(n, t, seed, round_, peer, pick, variant, pattern=None):
     return ex.agents[peer]
 
 
-# _mutate_xr's variants: 0 deletes a bit, 1 flips one, 2-6 give a bit a
-# bad value or file it under a bad key
+# _mutate_xr's variants: 0 deletes a bit, 1 flips one, 2-8 give a bit a
+# bad value or file it under a bad key; 7 and 8 file it under a key that
+# compares and hashes equal to its link, with a bool or a float in it
 XR_RULES = {0: "xr", 2: "xr-bit", 3: "xr-bit", 4: "xr-bit", 5: "xr-bit",
-            6: "xr-bit"}
+            6: "xr-bit", 7: "xr-bit", 8: "xr-bit"}
 
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
-@pytest.mark.parametrize("variant", range(7))
+@pytest.mark.parametrize("variant", range(9))
 def test_evidence_bit_mutation_outcome(n, t, variant):
     # every round that ships bits, towards every peer, with no failures;
     # the seed also picks the link whose bit is changed

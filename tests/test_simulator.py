@@ -1,12 +1,13 @@
 """The lockstep executor: patterns, delivery, utilities, and determinism."""
 
+import gc
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rucon.agent import BOT
-from rucon.deviations import make_deviation
+from rucon.deviations import DEVIATION_TYPES, Deviation, make_deviation
 from rucon.links import X
 from rucon.simulator import (Execution, FailurePattern, RunConfig, deliver,
                              deviation_experiment, deviation_study, run,
@@ -43,6 +44,60 @@ def test_run_is_deterministic():
     d2, u2, t2 = snapshot()
     assert (d1, u1) == (d2, u2)
     assert json.dumps(t1, sort_keys=True) == json.dumps(t2, sort_keys=True)
+
+
+class _CollectorProbe(Deviation):
+    """Records whether the cyclic collector runs during each round."""
+
+    def __init__(self):
+        super().__init__(agent=1)
+        self.seen = []
+
+    def after_receive(self, st, r):
+        self.seen.append(gc.isenabled())
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_state(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        probe = _CollectorProbe()
+        run(RunConfig(n=5, t=1, seed=0, deviation=probe))
+        assert probe.seen == [False] * 5     # paused for the whole run
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):      # Execution rejects the config
+            run(RunConfig(n=4, t=2, seed=0))
+        assert gc.isenabled() is enabled
+        # steps() yields mid-run, so it leaves the collector alone
+        for _ in Execution(RunConfig(n=5, t=1, seed=0)).steps():
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_runs_leave_no_cyclic_garbage():
+    # run() pauses the collector on the premise that a run makes no
+    # reference cycle, honest or deviant, so reference counting frees all
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    detected = 0     # runs that took the error path, where cycles formed
+    try:
+        for n, t in ((5, 1), (7, 2)):
+            for seed in range(2):
+                run(RunConfig(n=n, t=t, seed=seed, sample_pattern=True))
+                for type_id in sorted(DEVIATION_TYPES):
+                    res = run(RunConfig(
+                        n=n, t=t, seed=seed, sample_pattern=True,
+                        deviation=make_deviation(type_id, agent=1)))
+                    assert res.deviation_applied, type_id
+                    detected += "bot" in res.decisions.values()
+        assert detected > 0
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_config_validation():

@@ -444,6 +444,29 @@ def test_memo_plans_each_passed_table_once():
         assert len(set(uids.values())) == len(uids), r
 
 
+def test_memo_plan_is_in_link_order_whatever_the_insertion_order(
+        captured_round3):
+    table = captured_round3[1].pending_ns[2]
+    reverse = dict(sorted(table.items(), reverse=True))
+    assert list(reverse) != sorted(reverse)
+    plan = RoundMemo().check(5, 1, 3, 2, reverse)
+    assert [(link, recv, adopted) for link, recv, _, adopted in plan] == [
+        (link, recv, (recv[0], (2, 3))) for link, recv in sorted(
+            table.items())]
+
+
+def test_memo_refuses_a_bool_key_before_planning(captured_round3):
+    # (True, 2) == (1, 2), so a walk of all_links would find its entry
+    table = dict(captured_round3[1].pending_ns[2])
+    table[(True, 2)] = table.pop((1, 2))
+    memo = RoundMemo()
+    with pytest.raises(InconsistencyError) as exc:
+        memo.check(5, 1, 3, 2, table)
+    assert (exc.value.category, exc.value.rule) == ("format", "bad-state")
+    assert [plan for _, _, plan in memo.tables.values()] == [None]
+    assert memo.ids == {}
+
+
 # --- relays of one shared entry object ----------------------------------------
 # Sender 2's round-5 table at (5,1) ships the tagged entry at link; it
 # passes check_format, then fails the chain checks, since the table holds
