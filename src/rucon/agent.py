@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import is_
 
 from .errors import InconsistencyError
@@ -56,12 +55,6 @@ class AgentState:
     elected: object = None
 
 
-@lru_cache(maxsize=None)
-def _link_set(i: int, n: int) -> frozenset:
-    """Agent i's n-1 links, as the key set its evidence bits must have."""
-    return frozenset(own_links(i, n))
-
-
 def _canonical_keys(xr: dict, j: int, n: int) -> bool:
     """Whether xr, of n-1 keys, is keyed by sender j's links. An honest
     sender's keys are own_links' own objects, in order (build_message
@@ -70,7 +63,7 @@ def _canonical_keys(xr: dict, j: int, n: int) -> bool:
     (1.0, 2) compare and hash equal to (1, 2)."""
     if all(map(is_, xr, own_links(j, n))):
         return True
-    return xr.keys() == _link_set(j, n) and all(
+    return xr.keys() == set(own_links(j, n)) and all(
         type(k) is tuple and type(k[0]) is int and type(k[1]) is int
         for k in xr)
 

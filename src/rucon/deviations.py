@@ -32,14 +32,11 @@ class Deviation:
     """Base: an honest agent in disguise. Subclasses override hooks.
 
     `defaults` declares each parameter a type takes and its default; each
-    becomes an attribute. A `round` may name any of rounds
-    first_round..t+last_round.
+    becomes an attribute. A `round` must lie in rounds(t).
     """
 
     type_id = 0
     defaults: dict = {}
-    first_round = 1
-    last_round = 4
 
     def __init__(self, agent: int = 1, seed: int = 0, **params):
         self.agent = agent
@@ -59,11 +56,11 @@ class Deviation:
                     default is not None and type(value) is not type(default)):
                 raise ValueError(f"deviation type {self.type_id} takes no "
                                  f"{name}={value!r}")
-        first, last = self.first_round, t + self.last_round
-        if "round" in self.defaults and not first <= self.round <= last:
-            none = f" (none at t={t})" if first > last else ""
-            raise ValueError(f"deviation round must be in {first}..{last}"
-                             f"{none}, got {self.round}")
+        rounds = self.rounds(t)
+        if "round" in self.defaults and self.round not in rounds:
+            none = f" (none at t={t})" if not rounds else ""
+            raise ValueError(f"deviation round must be in {rounds.start}.."
+                             f"{rounds.stop - 1}{none}, got {self.round}")
         if "case" in self.defaults and not 1 <= self.case <= 8:
             raise ValueError(f"lie sub-case must be in 1..8, got {self.case}")
         if self.params.get("targets") is not None and (
@@ -74,6 +71,10 @@ class Deviation:
                              f"agents in 1..{n} but {self.agent}, "
                              f"got {self.targets!r}")
         self.n, self.t, self.domain_size = n, t, domain_size
+
+    def rounds(self, t: int) -> range:
+        """The rounds a `round` parameter may name at t."""
+        return range(1, t + 5)
 
     def describe(self) -> str:
         extra = f" {self.params}" if self.params else ""
@@ -252,22 +253,20 @@ class LinkStateLie(Deviation):
 
     type_id = 6
     defaults = {"round": 3, "case": 1}
-    last_round = 3      # round t+4 messages carry no table
-    # The first round each sub-case's lie can act in: the round-1 table is
-    # empty, an own link's report reaches the table for round 2 and a
-    # foreign link's one relay hop later, for round 3; sub-case 7 lowers a
-    # foreign failure round of at least 2, so it needs round 4.
-    first_rounds = {1: 2, 2: 2, 3: 3, 4: 3, 5: 2, 6: 3, 7: 4, 8: 2}
-    # the link each sub-case lies about: own (direct) or foreign, and the
-    # report kinds it looks for, in order
-    lie_links = {1: (True, (R,)), 2: (True, (X,)), 3: (False, (R,)),
-                 4: (False, (X,)), 5: (True, (R, X)), 6: (False, (R, X)),
-                 7: (False, (X,)), 8: (True, (X,))}
+    # Per sub-case: the first round its lie can act in, whether the link it
+    # lies about is its own (direct), and the report kinds it looks for, in
+    # order. The round-1 table is empty, an own link's report reaches the
+    # table for round 2 and a foreign link's one relay hop later, for round
+    # 3; sub-case 7 lowers a foreign failure round of at least 2, so it
+    # needs round 4.
+    cases = {1: (2, True, (R,)), 2: (2, True, (X,)), 3: (3, False, (R,)),
+             4: (3, False, (X,)), 5: (2, True, (R, X)), 6: (3, False, (R, X)),
+             7: (4, False, (X,)), 8: (2, True, (X,))}
 
-    @property
-    def first_round(self):
-        # a case outside 1..8 is rejected by bind
-        return self.first_rounds.get(self.case, 1)
+    def rounds(self, t):
+        # round t+4 messages carry no table; a case outside 1..8 is
+        # rejected by bind
+        return range(self.cases.get(self.case, (1,))[0], t + 4)
 
     def mutate_outgoing(self, st, r, msgs):
         if r != self.round or not msgs:
@@ -298,7 +297,7 @@ class LinkStateLie(Deviation):
 
     def _build_lie(self, st, r):
         i, n, case = st.id, self.n, self.case
-        direct, kinds = self.lie_links[case]
+        _, direct, kinds = self.cases[case]
         pick = next(filter(None, (self._pick(st, direct, kind)
                                   for kind in kinds)), None)
         if pick is None:
@@ -333,7 +332,10 @@ class WrongRandomRelay(LinkStateLie):
 
     type_id = 7
     defaults = {"round": 3}
-    first_round = 3     # a foreign correct-report arrives one relay hop late
+
+    def rounds(self, t):
+        # a foreign correct-report arrives one relay hop late
+        return range(3, t + 4)
 
     def _build_lie(self, st, r):
         pick = self._pick(st, False, R)
@@ -355,9 +357,8 @@ class CorruptShareRelay(Deviation):
         for j in self._targets(sorted(msgs)):
             if j not in msgs:
                 continue
+            # never empty: the deviant always holds its own share
             shares = dict(msgs[j]["shares"])
-            if not shares:
-                continue
             gen = min(shares)
             q, b = shares[gen]
             shares[gen] = ((q + 1) % st.p, b)

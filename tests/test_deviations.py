@@ -4,13 +4,16 @@ import copy
 
 import pytest
 
+from conftest import TYPES, deviant
 from rucon.agent import UNDECIDED
 from rucon.cli import main
-from rucon.deviations import DEVIATION_TYPES, make_deviation
+from rucon.deviations import DEVIATION_TYPES, Deviation, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X, link_of
-from rucon.simulator import (Execution, FailurePattern, RunConfig,
-                             deviation_experiment, deviation_study, run)
+from rucon.sharing import make_polynomial, share_for
+from rucon.simulator import (Execution, ExperimentSummary, FailurePattern,
+                             RunConfig, deviation_experiment, deviation_study,
+                             run)
 
 
 def _dev_run(dev, seed=0, n=5, t=1, **cfg):
@@ -210,6 +213,34 @@ def test_experiment_summary_shape():
     assert summary.mean_diff <= 0.0
 
 
+class ChosenProposal(Deviation):
+    """A proposal fixed at quantile 1-1/(n-1) of the field, re-shared as
+    type 3 re-shares its zero. It stays out of DEVIATION_TYPES."""
+
+    type_id = 11
+
+    def after_init(self, st):
+        st.proposal = st.p * (st.n - 2) // (st.n - 1)
+        st.b_poly = make_polynomial(st.proposal, self.rng, st.p)
+        q_at = st.shares[st.id][st.id][0]
+        st.shares[st.id][st.id] = (q_at, share_for(st.b_poly, st.id))
+        self.applied = True
+
+
+def test_a_chosen_proposal_beats_honest_play():
+    """A known defect, pinned: elect picks the holder of the second-largest
+    proposal and nothing checks how a proposal was drawn, so a deviant that
+    fixes its own wins more often than 1/n, undetected. The gain is over
+    four standard errors. Invert this test when elect changes: the gain
+    must then lie within noise."""
+    summary, = deviation_study(RunConfig(n=5, t=1, seed=0),
+                               [lambda: ChosenProposal(agent=1)], 400)
+    assert summary == ExperimentSummary(
+        deviation="type11", runs=400, mean_honest=1.455, mean_deviant=1.5675,
+        mean_diff=0.1125, se_diff=0.026952280767988657,
+        gain_within_noise=False, detection_rate=0.0, applied_rate=1.0)
+
+
 def test_experiment_pairs_same_environment():
     base = RunConfig(n=5, t=1, seed=7)
     s1 = deviation_experiment(
@@ -237,13 +268,13 @@ def test_every_bot_names_its_rule():
     # result
     bots = 0
     for n, t in ((5, 1), (7, 2)):
-        for tid in sorted(DEVIATION_TYPES):
+        for tid in TYPES[1:]:
             for seed in range(20):
                 trace = []
                 ex = Execution(RunConfig(
                     n=n, t=t, seed=seed, sample_pattern=True,
                     check_invariants=False, trace=trace,
-                    deviation=make_deviation(tid, agent=1, seed=seed)))
+                    deviation=deviant(tid, seed=seed)))
                 for _ in ex.steps():
                     pass
                 res = ex.result()

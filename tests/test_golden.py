@@ -40,6 +40,7 @@ import hashlib
 import pytest
 
 from rucon.cli import write_trace
+from conftest import deviation_grid
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.simulator import RunConfig, deviation_study, run
@@ -48,8 +49,6 @@ from rule_fixtures import FIXTURES
 HONEST_SEEDS = range(4)
 DEVIATION_SEEDS = range(2)
 STUDY_RUNS = 5
-# type 6: the first round each sub-case's lie can act in (type 7: round 3)
-LIE_FIRST_ROUND = {1: 2, 2: 2, 3: 3, 4: 3, 5: 2, 6: 3, 7: 4, 8: 2}
 
 GOLDEN = {
     "honest-5-1":
@@ -89,11 +88,10 @@ def _configs(group):
     if kind.startswith("deviations"):
         devs = [(tid, {}) for tid in sorted(DEVIATION_TYPES)]
     else:
-        # each lie from the first round it can act in to round t+3, the
-        # last that ships a table
-        devs = ([(6, {"case": c, "round": r}) for c in range(1, 9)
-                 for r in range(LIE_FIRST_ROUND[c], t + 4)]
-                + [(7, {"round": r}) for r in range(3, t + 4)])
+        # each lie at every round bind accepts: from the first it can act
+        # in to round t+3, the last that ships a table
+        devs = [(tid, params) for tid, params in deviation_grid(t)
+                if tid in (6, 7)]
     return [RunConfig(n=n, t=t, seed=s, sample_pattern=True,
                       check_invariants=checked,
                       deviation=make_deviation(tid, agent=agent, seed=s,

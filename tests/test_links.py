@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rucon.agent import build_message, init_agent, receive_phase
-from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import (R, X, all_links, append_hs, last_update, link_of,
                          own_links, own_vector, peers)
-from conftest import run_agents
-from rucon.simulator import Execution, FailurePattern, RunConfig
+from conftest import TYPES, pause_failures, run_agents
+from rucon.simulator import FailurePattern
 from rucon.verification import RoundMemo, verify_and_update
 
 
@@ -213,28 +212,13 @@ def test_last_update_matches_backfill_then_classify(ns, hs, rounds):
 
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
-def test_settled_round_is_fixed_by_its_own_horizon(n, t):
-    # every agent's stores at every pause of honest and deviant runs, every
-    # link and every pair of rounds s <= r from 0 to past the last: the
-    # history through r says of round s what the history through s says,
+@pytest.mark.parametrize("type_id", TYPES)
+def test_settled_round_is_fixed_by_its_own_horizon(n, t, type_id):
+    # every agent's stores at every pause of every grid run: the history
+    # through any round s is the history through the last round cut at s,
     # which is what lets the invariant monitor read every source round of
     # one check round from a single last_update
-    for type_id in [None] + sorted(DEVIATION_TYPES):
-        for seed in range(3):
-            dev = (None if type_id is None
-                   else make_deviation(type_id, agent=1, seed=seed))
-            ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
-                                     deviation=dev, check_invariants=False))
-            for _ in ex.steps():
-                for st_agent in ex.agents.values():
-                    settled = [last_update(st_agent.ns, st_agent.hs, r)
-                               for r in range(t + 5)]
-                    for r, later in enumerate(settled):
-                        for s, own in enumerate(settled[:r + 1]):
-                            for link in all_links(n):
-                                assert (later.get((link, s))
-                                        == own.get((link, s))), (
-                                    type_id, seed, link, s, r)
+    assert pause_failures(n, t, type_id)["settled"] == []
 
 
 @given(rand_a=st.integers(0, 4), rand_b=st.integers(0, 4),

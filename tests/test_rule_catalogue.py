@@ -1,5 +1,6 @@
-"""Every rule the library can raise is documented, and every link-state
-rule the docs list is raised by verify_and_update on some input.
+"""Every rule the library can raise is documented, every link-state rule
+the docs list is raised by verify_and_update on some input, and every
+envelope rule by a receiver of one edited message.
 
 The raised rules are read from the source with ast: each
 InconsistencyError call with a literal category and rule (both arms of a
@@ -25,10 +26,10 @@ import pytest
 import rucon
 from conftest import run_agents
 from rucon import agent
-from rucon.deviations import make_deviation
+from rucon.deviations import Deviation, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
-from rucon.simulator import FailurePattern, RunConfig, run
+from rucon.simulator import Execution, FailurePattern, RunConfig, run
 from rucon.verification import RoundMemo, verify_and_update
 
 SRC = Path(rucon.__file__).parent
@@ -223,3 +224,46 @@ def test_crafted_witness_raises_its_rule(rule, round4):
         verify_and_update(state, {**state.pending_ns, 3: table}, 4,
                           RoundMemo())
     assert (exc.value.category, exc.value.rule) == rule
+
+
+# Each envelope rule by one edit of the message agent 1 sends agent 2 in
+# one round of a fault-free (5,1) run: round 1 carries the value shares,
+# round 4 (t+3) the forwarded shares and round 5 (t+4) the consensus set.
+ENVELOPE_EDITS = {
+    "header": (2, lambda msg: msg.update(sender=3)),
+    "rand": (2, lambda msg: msg.update(rand=5)),
+    "ns": (2, lambda msg: msg.pop("ns")),
+    "xr": (2, lambda msg: msg.pop("xr")),
+    "xr-bit": (2, lambda msg: msg["xr"].update(dict.fromkeys(msg["xr"], 2))),
+    "shares": (1, lambda msg: msg.update(q=-1)),
+    "forwarded": (4, lambda msg: msg.pop("shares")),
+    "forwarded-share": (4, lambda msg: msg.update(shares={0: (0, 0)})),
+    "consensus": (5, lambda msg: msg.update(consensus=set())),
+}
+
+
+class _EditOneMessage(Deviation):
+    def __init__(self, round_, edit):
+        super().__init__(agent=1)
+        self.edit_round, self.edit = round_, edit
+
+    def mutate_outgoing(self, st, r, msgs):
+        if r == self.edit_round:
+            self.edit(msgs[2])
+        return msgs
+
+
+def test_every_listed_envelope_rule_has_a_message_witness():
+    listed = {r for c, r in documented("errors.py") if c == "envelope"}
+    assert sorted(listed ^ ENVELOPE_EDITS.keys()) == []
+
+
+@pytest.mark.parametrize("rule", sorted(ENVELOPE_EDITS))
+def test_envelope_witness_raises_its_rule(rule):
+    dev = _EditOneMessage(*ENVELOPE_EDITS[rule])
+    ex = Execution(RunConfig(n=5, t=1, seed=0, deviation=dev,
+                             check_invariants=False))
+    for _ in ex.steps():
+        pass
+    err = ex.agents[2].last_error
+    assert (err.category, err.rule) == ("envelope", rule)

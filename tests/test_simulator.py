@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rucon.agent import BOT
-from rucon.deviations import DEVIATION_TYPES, Deviation, make_deviation
+from conftest import TYPES, deviant
+from rucon.deviations import Deviation, make_deviation
 from rucon.links import X
 from rucon.simulator import (Execution, FailurePattern, RunConfig, deliver,
                              deviation_experiment, deviation_study, run,
@@ -86,12 +87,11 @@ def test_runs_leave_no_cyclic_garbage():
     try:
         for n, t in ((5, 1), (7, 2)):
             for seed in range(2):
-                run(RunConfig(n=n, t=t, seed=seed, sample_pattern=True))
-                for type_id in sorted(DEVIATION_TYPES):
-                    res = run(RunConfig(
-                        n=n, t=t, seed=seed, sample_pattern=True,
-                        deviation=make_deviation(type_id, agent=1)))
-                    assert res.deviation_applied, type_id
+                for type_id in TYPES:
+                    res = run(RunConfig(n=n, t=t, seed=seed,
+                                        sample_pattern=True,
+                                        deviation=deviant(type_id)))
+                    assert res.deviation_applied or type_id is None, type_id
                     detected += "bot" in res.decisions.values()
         assert detected > 0
         assert gc.collect() == 0

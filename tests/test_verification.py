@@ -3,17 +3,16 @@
 import copy
 import dataclasses
 from collections import Counter
-from itertools import chain, product
 
 import pytest
 
 import reference_verifier
-from conftest import run_agents
+from conftest import (TYPES, deviant, deviation_grid, pause_failures,
+                      run_agents)
 from rule_fixtures import FIXTURES, _chain_table, receiver
 from rucon import agent, simulator, verification
-from rucon.agent import UNDECIDED, build_message
+from rucon.agent import UNDECIDED
 from rucon.cli import write_trace
-from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X, own_vector
 from rucon.simulator import Execution, RunConfig, run
@@ -144,30 +143,14 @@ def test_registered_vectors_are_the_reporters_own(n, t):
 
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
-def test_no_random_of_a_round_precedes_its_receive_phase(n, t, monkeypatch):
+@pytest.mark.parametrize("type_id", TYPES)
+def test_no_random_of_a_round_precedes_its_receive_phase(n, t, type_id):
     # _ingest and _gen_randoms store message randoms with no conflict check.
     # That rests on this: check_format admits only reports of earlier
     # rounds, so before round r's receive phase no agent holds a random of
     # round r or later but its own round-r draw. The random/random-conflict
     # rule of verify_state stays live; its rule fixture covers it.
-    early, seen = [], Counter()
-    real = simulator.receive_phase
-
-    def receive(state, r, inbox):
-        seen[r] += 1
-        early.extend((state.id, r, key) for key in state.randoms
-                     if key[1] >= r and key != (state.id, r))
-        real(state, r, inbox)
-
-    monkeypatch.setattr(simulator, "receive_phase", receive)
-    for type_id in [None] + sorted(DEVIATION_TYPES):
-        for seed in range(3):
-            dev = (None if type_id is None
-                   else make_deviation(type_id, agent=1, seed=seed))
-            run(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
-                          deviation=dev, check_invariants=False))
-    assert sorted(seen) == list(range(1, t + 5))
-    assert early == []
+    assert pause_failures(n, t, type_id)["randoms"] == []
 
 
 # --- merge case table --------------------------------------------------------
@@ -333,51 +316,20 @@ def test_claim14_does_not_depend_on_sender_order(senders):
 # --- the per-round phase-2 memo ----------------------------------------------
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
-@pytest.mark.parametrize("type_id", [None] + sorted(DEVIATION_TYPES))
+@pytest.mark.parametrize("type_id", TYPES)
 def test_shipped_tables_are_never_edited(n, t, type_id):
     # A memo hit trusts that a table still holds what was checked, so no
     # compute phase or deviation hook may edit a shipped table in place.
-    for seed in range(2):
-        dev = (None if type_id is None
-               else make_deviation(type_id, agent=1, seed=seed))
-        ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
-                                 deviation=dev, check_invariants=False))
-        shipped = []
-        # round r's tables are checked at the next pause, after round r's
-        # compute phase and round r+1's receive phase, and after the run
-        for r in chain(ex.steps(), ["end"]):
-            for table, frozen in shipped:
-                assert table == frozen, (type_id, seed, r)
-            shipped = [(table, copy.deepcopy(table))
-                       for st in ex.agents.values()
-                       for table in st.pending_ns.values()]
+    assert pause_failures(n, t, type_id)["tables"] == []
 
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
-@pytest.mark.parametrize("type_id", [None] + sorted(DEVIATION_TYPES))
+@pytest.mark.parametrize("type_id", TYPES)
 def test_delivered_evidence_bits_are_never_edited(n, t, type_id):
     # A receiver keeps each delivered xr dict as it came, and phase 3 reads
     # its evidence checks from it, so no compute phase or deviation hook may
     # edit one in place; a sender's bits are copied into each message.
-    for seed in range(2):
-        dev = (None if type_id is None
-               else make_deviation(type_id, agent=1, seed=seed))
-        ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
-                                 deviation=dev, check_invariants=False))
-        heard = []
-        for r in chain(ex.steps(), ["end"]):
-            for bits, frozen in heard:
-                assert bits == frozen, (type_id, seed, r)
-            heard = [(bits, dict(bits)) for st in ex.agents.values()
-                     for bits in st.heard_bits.values()]
-        for st in ex.agents.values():
-            own = copy.deepcopy(st.own_bits)
-            recipient = 2 if st.id == 1 else 1
-            for r in range(1, min(max(own), t + 2) + 1):
-                xr = build_message(st, r, recipient, {})["xr"]
-                for link in xr:
-                    xr[link] ^= 1
-            assert st.own_bits == own, (type_id, seed, st.id)
+    assert pause_failures(n, t, type_id)["bits"] == []
 
 
 @pytest.fixture
@@ -565,28 +517,12 @@ def test_relays_of_an_own_adoption_skip_phase3(monkeypatch):
     assert sum(verified.values()) < sum(distinct.values())
 
 
-def _result_fields(res):
-    return {f.name: getattr(res, f.name)
-            for f in dataclasses.fields(res) if f.name != "config"}
-
-
-def _every_bound_deviation(t):
-    """(type, params) for every deviation type with every round and lie
-    sub-case that bind accepts at t."""
-    for type_id, cls in sorted(DEVIATION_TYPES.items()):
-        cases = ([{"case": c} for c in range(1, 9)]
-                 if "case" in cls.defaults else [{}])
-        for params in cases:
-            if "round" not in cls.defaults:
-                yield type_id, params
-                continue
-            first = make_deviation(type_id, **params).first_round
-            for r in range(first, t + cls.last_round + 1):
-                yield type_id, {**params, "round": r}
-
-
-def _outcome(config, path):
-    """A run's trace bytes, RunResult fields and every agent's end state."""
+def _outcome(n, t, spec, path, **cfg):
+    """The trace bytes, RunResult fields and every agent's end state of one
+    run, spec = (type, params, deviant, seed), at (n, t)."""
+    type_id, params, who, seed = spec
+    config = RunConfig(n=n, t=t, seed=seed, sample_pattern=True, trace=[],
+                       deviation=deviant(type_id, who, seed, **params), **cfg)
     ex = Execution(config)
     for _ in ex.steps():
         pass
@@ -595,7 +531,21 @@ def _outcome(config, path):
     tables = {i: (st.ns, st.hs, st.randoms, st.xrandoms, st.lost,
                   st.decision, st.consensus, str(st.last_error))
               for i, st in ex.agents.items()}
-    return path.read_bytes(), _result_fields(res), tables
+    fields = {f.name: getattr(res, f.name)
+              for f in dataclasses.fields(res) if f.name != "config"}
+    return path.read_bytes(), fields, tables
+
+
+def _patch_changes_no_outcome(monkeypatch, patch, n, t, specs, tmp_path,
+                              **cfg):
+    """Each run spec at (n, t) gives the same outcome with patch, a
+    (target, name, value), set as without."""
+    path = tmp_path / "trace.jsonl"
+    for spec in specs:
+        real = _outcome(n, t, spec, path, **cfg)
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            assert _outcome(n, t, spec, path, **cfg) == real, spec
 
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2), (13, 4)])
@@ -605,34 +555,22 @@ def test_reference_verifier_agrees(n, t, monkeypatch, tmp_path):
     # tests/reference_verifier.py, which checks and merges every entry of
     # every table itself, gives the same trace, result and tables. At
     # (13,4), where relays share entry objects the most, honest play only.
-    if n == 13:
-        grid, seeds = [(None, {})], range(3)
-    else:
-        grid, seeds = [(None, {})] + list(_every_bound_deviation(t)), range(5)
-    path = tmp_path / "trace.jsonl"
+    # The deviant is first and last in id order, so at both ends of every
+    # sender-ascending loop.
+    grid = [(None, {})] if n == 13 else deviation_grid(t)
+    assert len(grid) == {1: 42, 2: 54, 4: 1}[t]
+    specs = [(type_id, params, who, seed) for type_id, params in grid
+             for who in ((1,) if type_id is None else (1, n))
+             for seed in range(3 if n == 13 else 5)]
     calls = Counter()
 
     def plain_verifier(state, received, r, checked):
         calls[r] += 1
         reference_verifier.verify_and_update(state, received, r)
 
-    for type_id, params in grid:
-        # the deviant first and last in id order, so both ends of every
-        # sender-ascending loop
-        for deviant, seed in product((1,) if type_id is None else (1, n),
-                                     seeds):
-            def config():
-                dev = (None if type_id is None else make_deviation(
-                    type_id, agent=deviant, seed=seed, **params))
-                return RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
-                                 deviation=dev, check_invariants=False,
-                                 trace=[])
-            real = _outcome(config(), path)
-            with monkeypatch.context() as m:
-                m.setattr(agent, "verify_and_update", plain_verifier)
-                plain = _outcome(config(), path)
-            assert plain == real, (type_id, params, deviant, seed)
-    assert len(grid) == {1: 42, 2: 54, 4: 1}[t]
+    _patch_changes_no_outcome(
+        monkeypatch, (agent, "verify_and_update", plain_verifier), n, t, specs,
+        tmp_path, check_invariants=False)
     assert sorted(calls) == list(range(1, t + 4))
 
 
@@ -659,27 +597,16 @@ def test_delivered_objects_are_never_shared_state(n, t, monkeypatch,
     # records the same run: the same trace, result and end tables. So no
     # agent edits what it was sent, and the tables, memo, entry objects and
     # identity skips that receivers share change no outcome.
-    grid = [(None, {})] + list(_every_bound_deviation(t))
-    path = tmp_path / "trace.jsonl"
     real_deliver = simulator.deliver
 
     def isolated(r, outboxes, pattern, n):
         return {a: {s: _rebuilt(msg) for s, msg in inbox.items()}
                 for a, inbox in real_deliver(r, outboxes, pattern, n).items()}
 
-    for type_id, params in grid:
-        for seed in range(3):
-            def config():
-                dev = (None if type_id is None else make_deviation(
-                    type_id, agent=1, seed=seed, **params))
-                return RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
-                                 deviation=dev, trace=[])
-            shared = _outcome(config(), path)
-            with monkeypatch.context() as m:
-                m.setattr(simulator, "deliver", isolated)
-                own = _outcome(config(), path)
-            assert own == shared, (type_id, params, seed)
-    assert len(grid) == {1: 42, 2: 54}[t]
+    _patch_changes_no_outcome(
+        monkeypatch, (simulator, "deliver", isolated), n, t,
+        [(type_id, params, 1, seed) for type_id, params in deviation_grid(t)
+         for seed in range(3)], tmp_path)
 
 
 def test_honest_completeness_sampled_patterns():
