@@ -66,9 +66,10 @@ class Deviation:
         if self.params.get("targets") is not None and (
                 not isinstance(self.targets, (list, tuple)) or not self.targets
                 or any(type(j) is not int or not 1 <= j <= n or j == self.agent
-                       for j in self.targets)):
+                       for j in self.targets)
+                or len(set(self.targets)) != len(self.targets)):
             raise ValueError(f"deviation targets must be a non-empty list of "
-                             f"agents in 1..{n} but {self.agent}, "
+                             f"distinct agents in 1..{n} but {self.agent}, "
                              f"got {self.targets!r}")
         self.n, self.t, self.domain_size = n, t, domain_size
 

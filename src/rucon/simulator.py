@@ -113,6 +113,10 @@ class RunConfig:
 
     def validate(self):
         """Reject a config no run can use, then bind its deviation to it."""
+        for name in ("n", "t", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:      # a bool or float is refused too
+                raise ValueError(f"{name} must be an int, got {name}={value!r}")
         if self.t < 0:
             raise ValueError(f"t must be at least 0, got t={self.t}")
         if not (self.n >= 3 and self.n > 2 * self.t + 1):
@@ -123,11 +127,20 @@ class RunConfig:
             raise ValueError("utilities must be finite and strictly "
                              "decreasing")
         domain = self.value_domain      # a value's index is its encoding
-        if not domain or "" in domain or len(set(domain)) != len(domain):
+        if not isinstance(domain, (tuple, list)):
+            raise ValueError(f"value domain must be a tuple or list, "
+                             f"got {domain!r}")
+        try:
+            distinct = len(set(domain)) == len(domain)
+        except TypeError:
+            raise ValueError(f"value domain needs hashable values, "
+                             f"got {list(domain)}") from None
+        if not domain or "" in domain or not distinct:
             raise ValueError(f"value domain needs distinct non-empty values, "
                              f"got {list(domain)}")
         if self.values is not None:
-            if len(self.values) != self.n:
+            if (not isinstance(self.values, (tuple, list))
+                    or len(self.values) != self.n):
                 raise ValueError("values must list one value per agent")
             bad = [v for v in self.values if v not in domain]
             if bad:

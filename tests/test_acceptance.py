@@ -18,10 +18,11 @@ from rucon.simulator import RunConfig, deviation_study, run
 from rucon.cli import main as cli_main
 from rule_fixtures import FIXTURES
 
-SCALES = [(5, 1), (7, 2), (9, 3)]
-SWEEP_RUNS = 1000
-LARGE_SCALES = [(11, 4), (13, 5)]
-LARGE_RUNS = 20
+# (n, t) -> seeds of sampled failure patterns in the honest sweep
+SWEEP = {(5, 1): 1000, (7, 2): 1000, (9, 3): 1000, (11, 4): 20, (13, 5): 20}
+# the invariant monitor's checks: each sweep run must report every one
+MONITORED = {"message_passing_bound", "hs_convergence", "clean_round_density",
+             "machinery_agreement"}
 DEVIATION_RUNS = 1000
 
 
@@ -31,14 +32,6 @@ def _report(name, ok, detail=""):
         line += f" -- {detail}"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def honest_sweep():
-    """1000 seeded runs with sampled failure patterns at each scale."""
-    return {(n, t): [run(RunConfig(n=n, t=t, seed=s, sample_pattern=True))
-                     for s in range(SWEEP_RUNS)]
-            for n, t in SCALES}
 
 
 def _consensus_violation(res):
@@ -56,76 +49,50 @@ def _consensus_violation(res):
     return None
 
 
-def test_honest_runs_reach_consensus(honest_sweep):
-    bad = [(n, t, res.config.seed, why)
-           for (n, t), results in honest_sweep.items() for res in results
-           if (why := _consensus_violation(res)) is not None]
-    _report("honest runs: agreement, validity, termination, no punishment "
-            f"({len(SCALES)}x{SWEEP_RUNS} sampled patterns)",
-            not bad, f"{len(bad)} violations, first: {bad[:1]}")
-
-
-def test_honest_runs_at_larger_n():
+def test_honest_runs_reach_consensus():
     bad = []
-    for n, t in LARGE_SCALES:
-        for seed in range(LARGE_RUNS):
+    for (n, t), runs in SWEEP.items():
+        for seed in range(runs):
             res = run(RunConfig(n=n, t=t, seed=seed, sample_pattern=True))
             why = _consensus_violation(res)
             if why is not None:
                 bad.append((n, t, seed, why))
+            if not MONITORED <= res.invariants.keys():
+                bad.append((n, t, seed, "unreported",
+                            sorted(MONITORED - res.invariants.keys())))
             bad += [(n, t, seed, name, detail)
                     for name, (ok, detail) in sorted(res.invariants.items())
                     if not ok]
-    _report("honest runs at larger n: consensus with every invariant "
-            f"holding ({len(LARGE_SCALES)}x{LARGE_RUNS} sampled patterns)",
+    scales = ", ".join(f"{runs} at {scale}" for scale, runs in SWEEP.items())
+    _report("honest runs: agreement, validity, termination, no punishment, "
+            f"every invariant holding ({scales} sampled patterns)",
             not bad, f"{len(bad)} violations, first: {bad[:1]}")
-
-
-def test_failure_knowledge_propagation(honest_sweep):
-    bad = []
-    for (n, t), results in honest_sweep.items():
-        for res in results:
-            for name in ("message_passing_bound", "hs_convergence"):
-                ok, detail = res.invariants[name]
-                if not ok:
-                    bad.append((n, t, res.config.seed, name, detail))
-    _report("failure knowledge: relay bound holds and link histories agree "
-            "at full information exchange", not bad, f"first: {bad[:1]}")
-
-
-def test_clean_round_supply(honest_sweep):
-    bad = []
-    for (n, t), results in honest_sweep.items():
-        for res in results:
-            ok, detail = res.invariants["clean_round_density"]
-            if not ok:
-                bad.append((n, t, res.config.seed, detail))
-    _report("clean rounds: every run shows a failure-free round early enough "
-            "to decide", not bad, f"first: {bad[:1]}")
 
 
 def test_share_arithmetic_exhaustive():
     bad = []
-    for p in (7, 101):
+    # each field with the nonzero points its single shares are checked at
+    for p, points in ((7, range(1, 7)), (101, (1, 2, 3, 4, 5, 50, 100))):
         for secret, slope in itertools.product(range(p), repeat=2):
             poly = make_polynomial(secret, _FixedRng(slope), p=p)
-            shares = [(i, share_for(poly, i)) for i in (1, 2, 3)]
-            for a, b in itertools.combinations(shares, 2):
-                got = reconstruct([a, b], p=p)
+            shares = [(i, share_for(poly, i)) for i in range(1, 6)]
+            for subset in [*itertools.combinations(shares, 2), shares]:
+                got = reconstruct(subset, p=p)
                 if got != secret:
-                    bad.append((p, secret, slope, a[0], b[0], got))
+                    bad.append((p, secret, slope, [i for i, _ in subset], got))
         # a single share reveals nothing: over all slopes it is uniform
-        for secret in range(p):
-            seen = {share_for(make_polynomial(secret, _FixedRng(s), p=p), 1)
-                    for s in range(p)}
+        for secret, point in itertools.product(range(p), points):
+            seen = {share_for(make_polynomial(secret, _FixedRng(s), p=p),
+                              point) for s in range(p)}
             if seen != set(range(p)):
-                bad.append((p, secret, "share not uniform over slopes"))
+                bad.append((p, secret, point, "share not uniform over slopes"))
         with pytest.raises(InconsistencyError) as exc:
             reconstruct([(1, 1), (2, 2), (3, 4)], p=p)
         if (exc.value.category, exc.value.rule) != ("share", "off-line"):
             bad.append((p, "off-line shares raised", str(exc.value)))
-    _report("secret sharing: exhaustive split/reconstruct over GF(7) and "
-            "GF(101), single shares uniform", not bad, f"first: {bad[:1]}")
+    _report("secret sharing: exhaustive split over GF(7) and GF(101), "
+            "reconstructed from every pair of five shares and from all five, "
+            "single shares uniform", not bad, f"first: {bad[:1]}")
 
 
 class _FixedRng:
@@ -154,7 +121,7 @@ def test_every_verification_rule_fires():
             bad.append((name, "mutation not rejected"))
     _report(f"verification rules: {len(FIXTURES)} targeted fixtures each "
             "accepted clean and rejected mutated with the exact rule",
-            not bad, f"{bad[:2]}")
+            not bad, f"{bad}")
 
 
 def test_no_deviation_is_profitable():

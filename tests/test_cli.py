@@ -252,6 +252,8 @@ def test_deviate_bad_arguments_are_usage_errors(tmp_path, capsys):
     # a target list must name at least one peer of the deviant
     assert main(base + ["--type", "4", "--param", "targets=[]"]) == 2
     assert main(base + ["--type", "8", "--param", "targets=[1]"]) == 2
+    # a repeated peer would take the edit twice
+    assert main(base + ["--type", "2", "--param", "targets=[2,2]"]) == 2
     assert main(base + ["--type", "10", "--values", "z,z,z,z,z"]) == 2
     # type 6 has eight lie sub-cases
     assert main(base + ["--type", "6", "--param", "case=9"]) == 2
@@ -372,12 +374,3 @@ def test_verify_trace_unreadable(tmp_path, capsys):
     edited.write_text(json.dumps({"phase": "meta", "event": "config",
                                   "payload": {"n": 0, "values": []}}) + "\n")
     assert main(["verify-trace", str(edited)]) == 2
-
-
-def test_trace_is_byte_identical(tmp_path, capsys):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    for path in (a, b):
-        assert main(["run", "--n", "5", "--t", "1", "--seed", "11",
-                     "--sample-pattern", "--trace", str(path)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()

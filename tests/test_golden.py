@@ -2,36 +2,19 @@
 
 Each run group's digest covers, run by run, the trace bytes exactly as
 write_trace stores them and every RunResult field but the config, which is
-the run's input. Each study group's digest covers every ExperimentSummary
-field of the paired deviation study, type by type. The run digests were
-recorded before the round loop moved into the Execution stepper, the
-study-5-1 digest before the study stopped sampling its own run inputs, and
-the lies digests (every type-6 sub-case and type 7 at every round from the
-first its lie can act in to the last that ships a table, which reach the
-round-relation and merge rules) before a deviation rejected a round its
-lie can never act in, so a refactor that changes what any run computes or
-records fails here. The fixtures digest covers the full error (category,
-rule, link, round and text) that every rule fixture raises on its mutated
-input, recorded before the message-chain bounds were stated once, and
-re-recorded when the random/xrandom-conflict rule, which no run could
-reach, was deleted with its fixture; the new digest equals the old
-corpus's digest with that one fixture left out. It was re-recorded
-the same way when chain/claim2 and round/claim9, which check_format's round
-bound and phase 1 decide first for every input, were deleted with their two
-fixtures. The deviations-agent3 group (every type with deviant agent 3 and
-the invariant monitor on) was recorded before the receiver's history of who it heard was
-stored once, in its lost map. The three deviations groups were re-recorded
-when every punishing error became an InconsistencyError, which changed only
-the errors and the trace's inconsistency events of the runs that end in a
-bottom decision. The three deviations groups and the two lies groups were
-re-recorded when claim 14 became a phase-2 check, which changed only the
-errors, the inconsistency events and, where the invariant monitor is on,
-its report on the tables of agents that now stop before that round's
-merges. The deviations-agent3 group was re-recorded when the invariant
-monitor stopped reading the tables of agents that decided bot, which
-changed only that report, in 8 of its 20 runs. The study-7-2 group was
-recorded while each deviation type still re-ran its own honest runs,
-before one study shared them among all types.
+the run's input:
+- honest-n-t: honest runs on sampled failure patterns;
+- deviations-n-t: every deviation type with deviant agent 1 and the
+  invariant monitor off, as in the deviation study; deviations-agent3
+  puts deviant agent 3 under the invariant monitor;
+- lies-n-t: every type-6 sub-case and type 7 at every round bind accepts,
+  which reach the round-relation and merge rules.
+Each study group's digest covers every ExperimentSummary field of the
+paired deviation study, type by type. The fixtures digest covers the full
+error (category, rule, link, round and text) that every rule fixture
+raises on its mutated input. So a refactor that changes what any run
+computes or records fails here; CHANGES.md says why each digest was last
+re-recorded.
 """
 
 import dataclasses

@@ -86,7 +86,7 @@ def test_append_hs_rejects_none():
         append_hs({}, (1, 2), None)
 
 
-def test_classify():
+def test_last_update_reads_hs_alone_without_an_ns_failure():
     # the settled history reads HS alone when NS marks no failure: a
     # faulty report beats a correct one, and unknown is absent
     hs = {}

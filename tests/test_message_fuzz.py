@@ -12,7 +12,7 @@ expectation: which rule punishes the targeted peer, or that nothing can.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rucon.deviations import Deviation
+from conftest import EditMessages
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
 from rucon.simulator import Execution, FailurePattern, RunConfig
@@ -183,25 +183,18 @@ def _fields(msg):
     return out
 
 
-class OneFieldMutation(Deviation):
+# a factory with a class's name: the test's source seeds its derandomized
+# examples, so the call below keeps the text it had as a class
+def OneFieldMutation(round_, peer, field, pick, variant):
     """Agent 1 changes one field of its round-r message to one peer."""
-
-    def __init__(self, round_, peer, field, pick, variant):
-        super().__init__(agent=1)
-        self.round = round_
-        self.peer, self.field = peer, field
-        self.pick, self.variant = pick, variant
-
-    def mutate_outgoing(self, st, r, msgs):
-        if r != self.round or not msgs:
-            return msgs
-        j = sorted(msgs)[self.peer % len(msgs)]
-        fields = _fields(msgs[j])
-        field = fields[self.field % len(fields)]
-        msgs[j] = mutate(msgs[j], field, self.pick, self.variant, j,
-                         st.n, st.p)
-        self.applied = True
-        return msgs
+    def edit(st, msgs):
+        if msgs:
+            j = sorted(msgs)[peer % len(msgs)]
+            fields = _fields(msgs[j])
+            msgs[j] = mutate(msgs[j], fields[field % len(fields)], pick,
+                             variant, j, st.n, st.p)
+            return True
+    return EditMessages(round_, edit)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -230,22 +223,15 @@ def test_one_field_mutation_is_punished_by_rule(scale, seed, round_, peer,
         assert i in res.errors
 
 
-class EvidenceBitMutation(OneFieldMutation):
-    """Agent 1 changes the evidence bits of its round-r message to one
-    peer, named by id."""
-
-    def mutate_outgoing(self, st, r, msgs):
-        if r != self.round or self.peer not in msgs:
-            return msgs
-        msgs[self.peer] = mutate(msgs[self.peer], "xr", self.pick,
-                                 self.variant, self.peer, st.n, st.p)
-        self.applied = True
-        return msgs
-
-
 def _xr_run(n, t, seed, round_, peer, pick, variant, pattern=None):
     """The targeted peer's final state after one evidence-bit mutation."""
-    dev = EvidenceBitMutation(round_, peer, None, pick, variant)
+    def edit(st, msgs):
+        if peer in msgs:
+            msgs[peer] = mutate(msgs[peer], "xr", pick, variant, peer,
+                                st.n, st.p)
+            return True
+
+    dev = EditMessages(round_, edit)
     ex = Execution(RunConfig(n=n, t=t, seed=seed, pattern=pattern,
                              deviation=dev))
     for _ in ex.steps():
@@ -363,41 +349,31 @@ BOOL_VARIANTS = {
 }
 
 
-class BoolField(Deviation):
-    """The deviant ships one field of its round-r messages edited."""
+def _bool_run(variant):
+    """The run of one variant and the peers its edited messages went to."""
+    agent, round_, edit, _ = BOOL_VARIANTS[variant]
+    peers = []
 
-    def __init__(self, agent, round_, edit):
-        super().__init__(agent=agent)
-        self.round, self.edit = round_, edit
-        self.peers = []
-
-    def mutate_outgoing(self, st, r, msgs):
-        if r != self.round:
-            return msgs
+    def edit_all(st, msgs):
         for j in msgs:
             msgs[j] = dict(msgs[j])
-            self.edit(msgs[j])
-        self.peers = sorted(msgs)
-        self.applied = bool(msgs)
-        return msgs
+            edit(msgs[j])
+        peers[:] = sorted(msgs)
+        return bool(msgs)
 
-
-def _bool_run(variant):
-    agent, round_, edit, _ = BOOL_VARIANTS[variant]
-    dev = BoolField(agent, round_, edit)
     pattern = FailurePattern(crash={5: 1}) if "report" in variant else None
     ex = Execution(RunConfig(n=5, t=1, seed=0, pattern=pattern,
-                             deviation=dev))
-    return dev, ex
+                             deviation=EditMessages(round_, edit_all, agent)))
+    return ex, peers
 
 
 @pytest.mark.parametrize("variant", sorted(BOOL_VARIANTS))
 def test_bool_or_float_int_is_punished_by_rule(variant):
-    dev, ex = _bool_run(variant)
+    ex, peers = _bool_run(variant)
     for _ in ex.steps():
         pass
-    assert dev.applied
-    for j in dev.peers:
+    assert ex.dev.applied
+    for j in peers:
         st_j = ex.agents[j]
         err = st_j.last_error
         assert st_j.decision == ("bot",), (j, st_j.decision)
@@ -407,12 +383,12 @@ def test_bool_or_float_int_is_punished_by_rule(variant):
 def test_bool_random_is_refused_on_receipt():
     # agent 1's real round-1 random at seed 0 is 1, which True equals; every
     # receiver refuses True at once instead of shipping it on in a report
-    dev, ex = _bool_run("rand")
+    ex, peers = _bool_run("rand")
     for r in ex.steps():
         assert r == 1
         assert ex.agents[1].randoms[(1, 1)] == 1
-        assert dev.peers == [2, 3, 4, 5]
-        for j in dev.peers:
+        assert peers == [2, 3, 4, 5]
+        for j in peers:
             err = ex.agents[j].last_error
             assert ex.agents[j].decision == ("bot",), j
             assert (err.category, err.rule) == ("envelope", "rand"), j

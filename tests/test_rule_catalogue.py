@@ -24,9 +24,9 @@ from pathlib import Path
 import pytest
 
 import rucon
-from conftest import run_agents
+from conftest import EditMessages, run_agents
 from rucon import agent
-from rucon.deviations import Deviation, make_deviation
+from rucon.deviations import make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
 from rucon.simulator import Execution, FailurePattern, RunConfig, run
@@ -242,17 +242,6 @@ ENVELOPE_EDITS = {
 }
 
 
-class _EditOneMessage(Deviation):
-    def __init__(self, round_, edit):
-        super().__init__(agent=1)
-        self.edit_round, self.edit = round_, edit
-
-    def mutate_outgoing(self, st, r, msgs):
-        if r == self.edit_round:
-            self.edit(msgs[2])
-        return msgs
-
-
 def test_every_listed_envelope_rule_has_a_message_witness():
     listed = {r for c, r in documented("errors.py") if c == "envelope"}
     assert sorted(listed ^ ENVELOPE_EDITS.keys()) == []
@@ -260,7 +249,8 @@ def test_every_listed_envelope_rule_has_a_message_witness():
 
 @pytest.mark.parametrize("rule", sorted(ENVELOPE_EDITS))
 def test_envelope_witness_raises_its_rule(rule):
-    dev = _EditOneMessage(*ENVELOPE_EDITS[rule])
+    round_, edit = ENVELOPE_EDITS[rule]
+    dev = EditMessages(round_, lambda st, msgs: edit(msgs[2]))
     ex = Execution(RunConfig(n=5, t=1, seed=0, deviation=dev,
                              check_invariants=False))
     for _ in ex.steps():

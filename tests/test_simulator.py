@@ -109,17 +109,27 @@ def test_config_validation():
         run(RunConfig(n=5, t=1, seed=0, values=["a", "b"]))
     with pytest.raises(ValueError):
         run(RunConfig(n=5, t=1, seed=0, values=["z"] * 5))
+    # a str of n domain values is not a list of them
+    with pytest.raises(ValueError, match="values must list"):
+        run(RunConfig(n=5, t=1, seed=0, values="abcab"))
     with pytest.raises(ValueError, match="t must be at least 0"):
         run(RunConfig(n=5, t=-1, seed=0))
     # a value's index in the domain is its encoding: a repeated value
     # would decode two ways, and an empty domain has no value to hold
-    for domain in (("a", "a", "b"), (), ("a", "", "b")):
+    for domain in (("a", "a", "b"), (), ("a", "", "b"), "abc", ("a", [1])):
         with pytest.raises(ValueError, match="value domain"):
             run(RunConfig(n=5, t=1, seed=0, value_domain=domain))
+    # n, t and seed are ints: a float n or t would fail in range(), a bool
+    # pass as 0 or 1, and seed=True or 1.0 run other seeds than 1 does
+    for name, bad in (("n", 5.0), ("t", 1.5), ("t", True), ("n", True),
+                      ("seed", True), ("seed", 1.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            run(RunConfig(**{"n": 5, "t": 1, "seed": 0, name: bad}))
     for dev in (make_deviation(10, agent=9), make_deviation(10, agent=0),
                 make_deviation(5, round="abc"),
                 make_deviation(1, targets=[2, 6]),
                 make_deviation(4, targets=[]), make_deviation(8, targets=[1]),
+                make_deviation(2, targets=[2, 2]),
                 make_deviation(6, round=5), make_deviation(5, round=9),
                 make_deviation(1, rund=3), make_deviation(5, guess="no"),
                 make_deviation(6, case=9), make_deviation(6, case=0)):
