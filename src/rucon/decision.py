@@ -11,8 +11,16 @@ invariant monitor checks as machinery_agreement.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InconsistencyError
 from .links import X, all_links
+
+
+@lru_cache(maxsize=None)
+def _round_keys(n: int, r: int) -> tuple:
+    """The settled-history key (link, r) of every link, in all_links order."""
+    return tuple((link, r) for link in all_links(n))
 
 
 def agent_status(settled: dict, r: int, n: int, t: int, removed=()):
@@ -33,9 +41,9 @@ def agent_status(settled: dict, r: int, n: int, t: int, removed=()):
     # per agent not yet removed, its non-faulty links to such peers
     good = dict.fromkeys(alive, len(alive) - 1)
     x_peers = {}        # agent -> its peers over a link faulty at round r
-    for link in all_links(n):
-        if settled.get((link, r)) == X:
-            a, b = link
+    for key in _round_keys(n, r):
+        if settled.get(key) == X:
+            a, b = key[0]
             x_peers.setdefault(a, set()).add(b)
             x_peers.setdefault(b, set()).add(a)
             if a in good and b in good:

@@ -18,18 +18,26 @@ Rule identifiers, by the phase that checks them:
                               (claim 2 is check_format's round bound)
     source/claim14         -- a report adopted from src last round needs the
                               sender's own link to src correct then
-  phase 3, per receiver (verify_state, merge_state):
+  phase 3, per receiver (verify_and_update's loop, for every entry):
     source/claim13         -- a tagged report we could have heard is in our HS
-    random/random-conflict -- a correct-link report's message random must
-                              match the one registered for its round
+  phase 3, correct-link (R) reports (verify_and_update's loop):
+    random/random-conflict -- a report's message random must match the one
+                              registered for its round
+    round/claim10          -- merge case 3, the round relation of a direct
+                              link (claim 9 holds by construction)
+    round/case8            -- merge case 8, the round relation of an
+                              indirect link
+  phase 3, faulty-link (X) reports (verify_state, merge_state):
     random/xrandom-mismatch
-                           -- a faulty-link report's evidence bits must
-                              equal the vector that passed for its key, and
-                              at first sighting the bits the checker knows
-    round/claim10..claim12 -- round relations for direct-link merge cases
-                              (claim 9 holds by construction, see merge_state)
-    round/case7..case9     -- round relations for indirect-link merge cases
+                           -- a report's evidence bits must equal the vector
+                              that passed for its key, and at first sighting
+                              the bits the checker knows
+    round/claim11, round/claim12
+                           -- round relations of direct-link merge cases
+    round/case7, round/case9
+                           -- round relations of indirect-link merge cases
     merge/case2            -- a faulty report for a link observed correct now
+  phase 3, both kinds:
     round/hs-conflict      -- a reporter's second, different report for one
                               link round (links.append_hs)
 
@@ -225,42 +233,17 @@ def check_format(n: int, r: int, sender: int, link, recv):
             f"reporter {t_a[2]} is not an endpoint")
 
 
-def verify_state(state, r: int, link, recv):
-    """The source (claim 13) and random checks for one entry, received in
-    round r, against the checking agent's own state; phase 2 has already
-    passed the entry's table.
+def verify_state(state, link, recv):
+    """The evidence-bit check for one faulty-link (X) entry against the
+    checking agent's own state; phase 2 has passed the entry's table and
+    verify_and_update has checked its source (claim 13).
 
-    A correct-link report carries the other endpoint's message random of
-    its round, and a faulty-link report its reporter's evidence bits of
-    its round, one per recipient ascending. A random must equal the one
-    registered for its (agent, round), if any. An evidence vector must
-    equal the vector that passed for its (reporter, round, link); at its
-    first sighting, it must agree with the bits the agent knows itself.
-    What passes is registered.
+    A faulty-link report carries its reporter's evidence bits of its round,
+    one per recipient ascending. They must equal the vector that passed for
+    its (reporter, round, link), if any; at its first sighting, they must
+    agree with the bits the agent knows itself. What passes is registered.
     """
-    t_a, t_b = recv
-    kind, m, reporter, payload = t_a
-    # Claim 13: if we heard src in that round too (or the tag names us), the
-    # report must already sit in our own history. lost holds the first round
-    # we did not hear each lost peer.
-    if t_b is not None:
-        src, m_src = t_b
-        if src == state.id or state.lost.get(src, r) > m_src:
-            if t_a not in state.hs.get((link, m), ()):
-                raise InconsistencyError(
-                    "source", "claim13", link, m,
-                    f"report tagged from {src} round {m_src} is not in local history")
-    if kind == R:
-        other = link[0] if link[1] == reporter else link[1]
-        key = (other, m)
-        known = state.randoms.get(key)
-        if known is None:
-            state.randoms[key] = payload
-        elif known != payload:
-            raise InconsistencyError(
-                "random", "random-conflict", None, m,
-                f"agent {other} round {m}: {payload} vs registered {known}")
-        return
+    kind, m, reporter, payload = recv[0]
     key = (reporter, m, link)
     known = state.xrandoms.get(key)
     if known is None:
@@ -283,19 +266,18 @@ def verify_state(state, r: int, link, recv):
 
 
 def merge_state(state, link, recv, adopted):
-    """Fold one verified entry of a received table into the checking
-    agent's tables (the 11-case table). adopted is the entry as NS stores
-    it when the report is adopted: the report tagged with its sender and
-    round, one object per shipped table entry (RoundMemo.check).
+    """Fold one verified faulty-link (X) entry of a received table into the
+    checking agent's tables: the X rows of the 11-case merge table.
+    verify_and_update merges correct-link reports itself (cases 1, 3, 6, 8
+    and their case 11). adopted is the entry as NS stores it when the
+    report is adopted: the report tagged with its sender and round, one
+    object per shipped table entry (RoundMemo.check).
 
-    Each case first checks the round relations it rests on (claims 10-12 on
-    direct links, cases 7-9 on indirect ones), then merges. Case 1 needs
-    none: claim 9 (a relayed correct report is older than ours) holds, as
-    phase 1 writes a round-r report on every heard direct link, no case
-    writes a correct report there, and check_format admits only older
-    reports. Case 10 (received unknown) never reaches here: the caller
-    handles an absent entry. Case 2, a faulty report for a direct link we
-    observed correct this very round, is always an inconsistency.
+    Each case first checks the round relations it rests on (claims 11 and
+    12 on direct links, cases 7 and 9 on indirect ones), then merges. Case
+    10 (received unknown) never reaches here: the caller handles an absent
+    entry. Case 2, a faulty report for a direct link we observed correct
+    this very round, is always an inconsistency.
     """
     t_a, _ = recv
     ns, hs, i = state.ns, state.hs, state.id
@@ -308,18 +290,10 @@ def merge_state(state, link, recv, adopted):
     lr, li = lta[1], lta[2]
     rr, ri = t_a[1], t_a[2]
     if link[0] == i or link[1] == i:
-        if lta[0] == R and t_a[0] == R:          # Case 1
-            append_hs(hs, link, t_a)
-        elif lta[0] == R:                        # Case 2
+        if lta[0] == R:                          # Case 2
             raise InconsistencyError(
                 "merge", "case2", link, rr,
                 "faulty report for a link observed correct this round")
-        elif t_a[0] == R:                        # Case 3
-            if rr > lr:
-                raise InconsistencyError(
-                    "round", "claim10", link, rr,
-                    "correct-report newer than the known failure round")
-            append_hs(hs, link, t_a)
         elif li == i:                            # Case 4: our own detection
             if ri == i:
                 if t_a != lta:
@@ -345,22 +319,12 @@ def merge_state(state, link, recv, adopted):
                     "round", "claim12", link, rr,
                     "our detection must trail the partner's by one round")
     else:
-        if lta[0] == R and t_a[0] == R:          # Case 6
-            if rr > lr:
-                ns[link] = adopted
-            append_hs(hs, link, t_a)
-        elif lta[0] == R:                        # Case 7
+        if lta[0] == R:                          # Case 7
             if (ri == li and lr >= rr) or (ri != li and lr > rr):
                 raise InconsistencyError(
                     "round", "case7", link, rr,
                     "failure round contradicts a correct-report we hold")
             ns[link] = adopted
-            append_hs(hs, link, t_a)
-        elif t_a[0] == R:                        # Case 8
-            if (ri == li and lr <= rr) or (ri != li and lr < rr):
-                raise InconsistencyError(
-                    "round", "case8", link, rr,
-                    "correct-report contradicts a failure round we hold")
             append_hs(hs, link, t_a)
         elif ri == li:                           # Case 9, same reporter
             if t_a != lta:
@@ -386,17 +350,24 @@ class RoundMemo:
     table, so the id cannot be reused within the round.
 
     A table that passed phase 2 has a plan: its entries as (link, recv,
-    uid, adopted) in sorted(table.items()) order. The plan walks
-    all_links(n), which is in that order, and looks each link up: the
-    format sweep admitted only plain tuple keys of two ints 1 <= a < b <= n,
-    so the table's keys are distinct members of all_links(n), and the walk
-    meets each of them once, with no sort. ids interns each distinct
-    (link, recv) value once per round as a small int uid, so equal entries
-    of different tables share one uid and distinct ones never do. adopted
-    is (report, (sender, r)), the entry that merge_state stores in NS when
-    it adopts the report. It is built once per table entry, so every
+    uid, adopted, hs_key, rand_key) in sorted(table.items()) order. The
+    plan walks all_links(n), which is in that order, and looks each link
+    up: the format sweep admitted only plain tuple keys of two ints
+    1 <= a < b <= n, so the table's keys are distinct members of
+    all_links(n), and the walk meets each of them once, with no sort.
+    adopted is (report, (sender, r)), the entry that phase 3 stores in NS
+    when it adopts the report. It is built once per table entry, so every
     receiver that adopts it holds the same object, and next round each of
     them ships that one object on.
+
+    ids interns each distinct (link, recv) value once per round as (uid,
+    hs_key, rand_key). uid is a small int, so equal entries of different
+    tables share one uid and distinct ones never do. The keys are the two
+    that phase 3 reads for a correct-link (R) report: hs_key, (link, m),
+    its HS round, and rand_key, (other endpoint, m), the message random it
+    carries. A faulty-link (X) report has None for both. So each key is
+    built once per distinct entry per round, however many tables ship the
+    entry and receivers process it.
 
     passed holds, per link, the last tagged entry object that passed
     check_format this round. check_format reads the sender only to test
@@ -440,20 +411,37 @@ class RoundMemo:
                     exc.category, exc.rule, exc.link, exc.round, exc.detail),
                     None)
                 raise
-            ids, tag = self.ids, (sender, r)
-            get, plan = table.get, []
-            for link in all_links(n):
-                recv = get(link)
-                if recv is not None:
-                    plan.append((link, recv,
-                                 ids.setdefault((link, recv), len(ids)),
-                                 (recv[0], tag)))
-            entry = self.tables[key] = (table, None, plan)
+            entry = self.tables[key] = (table, None,
+                                        self.plan(n, r, sender, table))
         err = entry[1]
         if err is not None:
             raise InconsistencyError(err.category, err.rule, err.link,
                                      err.round, err.detail)
         return entry[2]
+
+    def plan(self, n: int, r: int, sender: int, table: dict) -> list:
+        """The plan of sender's table, received in round r, which phase 2
+        has passed: its entries in link order with their uids, adopted
+        entries and keys."""
+        ids, tag = self.ids, (sender, r)
+        get, plan = table.get, []
+        for link in all_links(n):
+            recv = get(link)
+            if recv is not None:
+                value = (link, recv)
+                known = ids.get(value)
+                if known is None:
+                    t_a = recv[0]
+                    if t_a[0] == R:
+                        m = t_a[1]
+                        other = link[0] if link[1] == t_a[2] else link[1]
+                        known = (len(ids), (link, m), (other, m))
+                    else:
+                        known = (len(ids), None, None)
+                    ids[value] = known
+                plan.append((link, recv, known[0], (recv[0], tag), known[1],
+                             known[2]))
+        return plan
 
 
 _UNSEEN = object()   # no table entry is this object
@@ -463,21 +451,27 @@ def verify_and_update(state, received: dict, r: int, checked):
     """One round of the full verify-and-update pass for one agent.
 
     state is the checking agent's AgentState; received maps each heard
-    sender to its table; r is the current round. Mutates state.ns and
-    state.hs in place; raises InconsistencyError on any violation.
+    sender to its table; r is the current round. Mutates state.ns,
+    state.hs and the registries in place; raises InconsistencyError on any
+    violation.
 
     Phase 2 (check_format and verify_msg_chain) holds every check that
     reads only the shipped table. It takes n, t, r, the sender and its
     table, no receiver state, so every recipient of one shipped table gets
-    the same outcome. So does phase 3's plan: a table's sort order and the
-    value equality of its entries read only the table. checked is the
-    RoundMemo that the Execution builds for round r and all its receivers
-    share: each shipped table is checked and planned once. Phase 3
-    (verify_state and merge_state) reads only the checking agent's own
-    state and the entry, and writes that state.
+    the same outcome. So does phase 3's plan: a table's sort order, the
+    value equality of its entries and an entry's keys read only the table.
+    checked is the RoundMemo that the Execution builds for round r and all
+    its receivers share: each shipped table is checked and planned once.
+
+    Phase 3 reads only the checking agent's own state and the entry, and
+    writes that state. Its loop states claim 13 for every entry, and for a
+    correct-link (R) report, nearly all of them, everything else: the
+    random check, the merge table's R rows and the HS append, on the keys
+    in the plan. A faulty-link (X) report goes to verify_state and
+    merge_state.
     """
     n, t, i = state.n, state.t, state.id
-    ns, hs = state.ns, state.hs
+    ns, hs, lost = state.ns, state.hs, state.lost
     randoms, own_bits = state.randoms, state.own_bits[r]
 
     # Phase 1: this round's direct-link detections.
@@ -500,26 +494,87 @@ def verify_and_update(state, received: dict, r: int, checked):
     # in link order. Two skips, both exact:
     # - An entry equal in every field to one already processed this round
     #   (same uid): its checks (claim 13, the randoms) passed at its first
-    #   occurrence, and merging it again would change no table. merge_state
+    #   occurrence, and merging it again would change no table. The merge
     #   does check a skipped entry's round relations only against the local
     #   entry as it stood at the first occurrence.
     # - An entry that is the very object NS holds at its link: an adoption
     #   this agent verified and merged itself in an earlier round, relayed
     #   back by a peer that adopted it from the same table. Its report is
-    #   in our HS and its random or evidence bits are registered, so
-    #   verify_state would pass and register nothing. Merging an entry with
+    #   in our HS and its random or evidence bits are registered, so the
+    #   checks would pass and register nothing. Merging an entry with
     #   itself is case 5, 6 or 9 (a direct link holds an adoption only
     #   after a failure), none of which writes. The test is on the whole
     #   entry, not the report: a deviation can write a report into NS
     #   without adding it to HS, and peers relay that report object back
     #   under their own tags, which claim 13 must still check.
-    done = set()
+    seen = [False] * len(checked.ids)     # by uid: processed this round
     for plan in plans:
-        for link, recv, uid, adopted in plan:
-            if uid in done:
+        for link, recv, uid, adopted, hs_key, rand_key in plan:
+            if seen[uid]:
                 continue
-            done.add(uid)
-            if recv is ns.get(link):
+            seen[uid] = True
+            local = ns.get(link)
+            if recv is local:
                 continue
-            verify_state(state, r, link, recv)
-            merge_state(state, link, recv, adopted)
+            t_a, t_b = recv
+            # Claim 13: if we heard src in that round too (or the tag names
+            # us), the report must already sit in our own history. lost
+            # holds the first round we did not hear each lost peer.
+            if t_b is not None and (t_b[0] == i
+                                    or lost.get(t_b[0], r) > t_b[1]):
+                if t_a not in hs.get((link, t_a[1]), ()):
+                    raise InconsistencyError(
+                        "source", "claim13", link, t_a[1],
+                        f"report tagged from {t_b[0]} round {t_b[1]} is not "
+                        "in local history")
+            if rand_key is None:
+                verify_state(state, link, recv)
+                merge_state(state, link, recv, adopted)
+                continue
+            # An R report carries the other endpoint's message random of
+            # its round, which must equal the one registered for that
+            # (agent, round), if any; what passes is registered.
+            rand = t_a[3]
+            known = randoms.setdefault(rand_key, rand)
+            if known != rand:
+                raise InconsistencyError(
+                    "random", "random-conflict", None, rand_key[1],
+                    f"agent {rand_key[0]} round {rand_key[1]}: {rand} vs "
+                    f"registered {known}")
+            # The merge table's R rows. Each ends in the HS append.
+            if local is not None:
+                lta = local[0]
+                if link[0] == i or link[1] == i:
+                    # Case 1 (we hold our own R) appends only, and needs no
+                    # check: claim 9 (a relayed correct report is older than
+                    # ours) holds, as phase 1 writes a round-r report on
+                    # every heard direct link, no case writes a correct
+                    # report there, and check_format admits only older
+                    # reports.
+                    if lta[0] == X and t_a[1] > lta[1]:      # Case 3
+                        raise InconsistencyError(
+                            "round", "claim10", link, t_a[1],
+                            "correct-report newer than the known failure "
+                            "round")
+                elif lta[0] == R:                            # Case 6
+                    if t_a[1] > lta[1]:
+                        ns[link] = adopted
+                else:                                        # Case 8
+                    rr, ri, lr, li = t_a[1], t_a[2], lta[1], lta[2]
+                    if (ri == li and lr <= rr) or (ri != li and lr < rr):
+                        raise InconsistencyError(
+                            "round", "case8", link, rr,
+                            "correct-report contradicts a failure round we "
+                            "hold")
+            else:                                            # Case 11
+                ns[link] = adopted
+            # The HS append, inline for a new (link, round), for the other
+            # endpoint's report after one, and for a report already held,
+            # on which append_hs would change nothing; it takes the rest.
+            reports = hs.get(hs_key)
+            if reports is None:
+                hs[hs_key] = (t_a,)
+            elif len(reports) == 1 and reports[0][2] != t_a[2]:
+                hs[hs_key] = reports + (t_a,)
+            elif t_a not in reports:
+                append_hs(hs, link, t_a)

@@ -9,9 +9,9 @@ acceptance suite iterates the whole registry.
 from itertools import combinations
 from types import SimpleNamespace
 
-from rucon.links import R, X, link_of
-from rucon.verification import check_format, merge_state, \
-    verify_msg_chain, verify_state
+from rucon.links import R, X, link_of, own_links, peers
+from rucon.verification import RoundMemo, check_format, \
+    verify_and_update, verify_msg_chain, verify_state
 
 FIXTURES = {}   # "category/rule" -> fixture callable
 
@@ -129,22 +129,33 @@ def _fx_claim7(mutate):
 def receiver(**kw):
     """The checking agent's state as phase 3 reads it. By default it has
     heard no one since round 1, so claim 13 never asks for its history."""
-    base = dict(id=1, n=5, ns={}, hs={}, randoms={}, own_bits={},
+    base = dict(id=1, n=5, t=1, ns={}, hs={}, randoms={}, own_bits={},
                 heard_bits={}, xrandoms={},
                 lost={2: 1, 3: 1, 4: 1, 5: 1})
     base.update(kw)
     return SimpleNamespace(**base)
 
 
-def _verify(state, link, recv, r=5):
-    verify_state(state, r, link, recv)
+class _Unchained(RoundMemo):
+    """A round memo that plans a table without checking it: a one-entry
+    table fails the chain checks, which the chain fixtures cover."""
+
+    def check(self, n, t, r, sender, table):
+        return self.plan(n, r, sender, table)
 
 
-def _verify_merge(state, link, recv, r=5):
-    """One report through phase 3 as production runs it: the round
-    relations are checked by merge_state, case by case."""
-    _verify(state, link, recv, r=r)
-    merge_state(state, link, recv, (recv[0], (2, r)))
+def phase3(state, link, recv, r=5, sender=2):
+    """One entry of sender's round-r table through verify_and_update, as
+    production runs it, less phase 2. Phase 1 first records the state's
+    direct-link detections, as heard from sender alone: a correct one on
+    the link to sender, with sender's round-r random (0 unless the state
+    holds one), and a faulty one on every other link that holds no failure
+    yet, with zero evidence bits unless the state holds its own."""
+    state.randoms.setdefault((sender, r), 0)
+    links = own_links(state.id, state.n)
+    state.own_bits.setdefault(r, {w: dict.fromkeys(links, 0)
+                                  for w in peers(state.id, state.n)})
+    verify_and_update(state, {sender: {link: recv}}, r, _Unchained())
 
 
 @_register("format", "bad-state")
@@ -169,36 +180,37 @@ def _fx_claim8(mutate):
 def _fx_claim10(mutate):
     st = receiver(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     rd = 3 if mutate else 2         # correct-report beyond the failure round
-    _verify_merge(st, (1, 2), ((R, rd, 2, 1), None))
+    phase3(st, (1, 2), ((R, rd, 2, 1), None), sender=3)
 
 
 @_register("round", "claim11")
 def _fx_claim11(mutate):
     st = receiver(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # our report, altered
-    _verify_merge(st, (1, 2), ((X, 2, 1, bits), (3, 3)))
+    phase3(st, (1, 2), ((X, 2, 1, bits), (3, 3)), sender=3)
 
 
 @_register("round", "claim11", suffix=":gap")
 def _fx_claim11_gap(mutate):
     st = receiver(ns={(1, 2): ((X, 2, 1, (0, 1, 0, 1)), None)})
     rd = 4 if mutate else 3         # endpoint detections differ by > 1
-    _verify_merge(st, (1, 2), ((X, rd, 2, (1, 0, 1, 0)), None))
+    phase3(st, (1, 2), ((X, rd, 2, (1, 0, 1, 0)), None), sender=3)
 
 
 @_register("round", "claim12")
 def _fx_claim12(mutate):
     st = receiver(ns={(1, 2): ((X, 2, 2, (0, 1, 0, 1)), (2, 3))})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # partner's, altered
-    _verify_merge(st, (1, 2), ((X, 2 + mutate, 2, bits), None)
-                  if mutate else ((X, 2, 2, bits), None))
+    phase3(st, (1, 2), ((X, 2 + mutate, 2, bits), None)
+           if mutate else ((X, 2, 2, bits), None), sender=3)
 
 
 @_register("round", "claim12", suffix=":lag")
 def _fx_claim12_lag(mutate):
     st = receiver(ns={(1, 2): ((X, 2, 2, (0, 1, 0, 1)), (2, 3))})
     rd = 2 if mutate else 3         # our own detection must trail by one
-    _verify_merge(st, (1, 2), ((X, rd, 1, (0, 0, 0, 0)), (3, rd + 1)), r=6)
+    phase3(st, (1, 2), ((X, rd, 1, (0, 0, 0, 0)), (3, rd + 1)), r=6,
+           sender=3)
 
 
 @_register("source", "claim13")
@@ -206,7 +218,7 @@ def _fx_claim13(mutate):
     t_a = (R, 2, 3, 1)
     hs = {} if mutate else {((3, 4), 2): (t_a,)}
     st = receiver(hs=hs, lost={2: 1, 4: 1, 5: 1})   # 3 heard at round 3
-    _verify(st, (3, 4), (t_a, (3, 3)))
+    phase3(st, (3, 4), (t_a, (3, 3)))
 
 
 @_register("source", "claim14")
@@ -228,42 +240,42 @@ def _fx_claim14(mutate):
 @_register("random", "random-conflict")
 def _fx_random_conflict(mutate):
     st = receiver(randoms={(4, 2): 0 if mutate else 1})
-    _verify(st, (3, 4), ((R, 2, 3, 1), (3, 3)))
+    phase3(st, (3, 4), ((R, 2, 3, 1), (3, 3)))
 
 
 @_register("random", "xrandom-mismatch")
 def _fx_xrandom_mismatch(mutate):
     # the report must carry the round-2 bit that reporter 3 sent agent 1
     st = receiver(heard_bits={(3, 2): {(3, 4): 1 if mutate else 0}})
-    _verify(st, (3, 4), ((X, 2, 3, (0, 1, 0, 1)), (3, 3)))
+    verify_state(st, (3, 4), ((X, 2, 3, (0, 1, 0, 1)), (3, 3)))
 
 
 @_register("round", "case7")
 def _fx_case7(mutate):
     st = receiver(ns={(3, 4): ((R, 2, 3, 1), (3, 3))})
     rd = 2 if mutate else 3         # failure round at or before a correct one
-    _verify_merge(st, (3, 4), ((X, rd, 3, (0, 1, 0, 1)), (3, rd + 1)), r=6)
+    phase3(st, (3, 4), ((X, rd, 3, (0, 1, 0, 1)), (3, rd + 1)), r=6)
 
 
 @_register("round", "case8")
 def _fx_case8(mutate):
     st = receiver(ns={(3, 4): ((X, 2, 3, (0, 1, 0, 1)), (3, 3))})
     rd = 2 if mutate else 1         # correct-report at or after the failure
-    _verify_merge(st, (3, 4), ((R, rd, 3, 1), (3, rd + 1)))
+    phase3(st, (3, 4), ((R, rd, 3, 1), (3, rd + 1)))
 
 
 @_register("round", "case9")
 def _fx_case9(mutate):
     st = receiver(ns={(3, 4): ((X, 2, 3, (0, 1, 0, 1)), (3, 3))})
     bits = (1, 1, 0, 1) if mutate else (0, 1, 0, 1)  # same reporter, altered
-    _verify_merge(st, (3, 4), ((X, 2, 3, bits), (3, 3)))
+    phase3(st, (3, 4), ((X, 2, 3, bits), (3, 3)))
 
 
 @_register("round", "case9", suffix=":gap")
 def _fx_case9_gap(mutate):
     st = receiver(ns={(3, 4): ((X, 1, 3, (0, 1, 0, 1)), (3, 2))})
     rd = 3 if mutate else 2         # endpoint detections differ by > 1
-    _verify_merge(st, (3, 4), ((X, rd, 4, (1, 0, 1, 0)), (3, rd + 1)), r=6)
+    phase3(st, (3, 4), ((X, rd, 4, (1, 0, 1, 0)), (3, rd + 1)), r=6)
 
 
 @_register("merge", "case2")
@@ -271,4 +283,4 @@ def _fx_case2(mutate):
     st = receiver(ns={(1, 2): ((R, 5, 1, 2), None)})
     recv = ((X, 4, 2, (0, 1, 0, 1)), None) if mutate \
         else ((R, 4, 2, 1), None)
-    _verify_merge(st, (1, 2), recv)
+    phase3(st, (1, 2), recv)

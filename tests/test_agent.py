@@ -166,7 +166,7 @@ def test_evidence_bits_expose_a_forged_report():
     receive_phase(st, 1, inbox)
     assert st.decision is UNDECIDED
     with pytest.raises(InconsistencyError) as exc:
-        verify_state(st, 2, (1, 2), ((X, 1, 1, (0, 0, 0, 0)), None))
+        verify_state(st, (1, 2), ((X, 1, 1, (0, 0, 0, 0)), None))
     assert (exc.value.category, exc.value.rule) == ("random",
                                                     "xrandom-mismatch")
 

@@ -8,7 +8,9 @@ on a one-seed study of two deviations, so such a change fails here too.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import rucon.deviations as deviations
 import rucon.simulator as simulator
@@ -53,4 +55,24 @@ def test_trace_gate_reaches_every_layer_of_a_shared_study():
     assert tracer.calls["simulator.run"] == 3
     assert [name for name in tracer.missing("deviation-study")
             if name != "simulator.deviation_experiment"] == []
+    assert tracer.restored()
+
+
+def test_trace_gate_reaches_every_layer_at_13_4():
+    # The first four inputs of the seed-0 honest-n13 corpus. Inputs 0 and
+    # 1 have no faulty agent, so they ship no faulty-link report and never
+    # reach verify_state or merge_state, which phase 3 keeps for those
+    # reports; so the gate takes a slice, not one run.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", LAYERS.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    lib = SimpleNamespace(simulator=simulator, deviations=deviations)
+    corpus = workloads.build_corpus(lib, "honest-n13", 0)[:4]
+    layers = _layers()
+    with layers.Tracer() as tracer:
+        for cfg in corpus:
+            simulator.run(cfg)
+    assert tracer.missing("honest-n13") == []
     assert tracer.restored()

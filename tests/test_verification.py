@@ -11,7 +11,7 @@ import pytest
 import reference_verifier
 from conftest import (TYPES, deviant, deviation_grid, pause_failures,
                       run_agents)
-from rule_fixtures import _chain_table, receiver
+from rule_fixtures import _chain_table, phase3, receiver
 from rucon import agent, simulator, verification
 from rucon.agent import UNDECIDED
 from rucon.cli import write_trace
@@ -38,10 +38,10 @@ def test_claim13_reads_the_round_a_peer_was_lost(lost_round, rule):
     st = receiver(lost={3: lost_round})
     recv = ((R, 2, 3, 1), (3, 3))
     if rule is None:
-        verify_state(st, 5, (3, 4), recv)
+        phase3(st, (3, 4), recv)
         return
     with pytest.raises(InconsistencyError) as exc:
-        verify_state(st, 5, (3, 4), recv)
+        phase3(st, (3, 4), recv)
     assert (exc.value.category, exc.value.rule) == ("source", rule)
 
 
@@ -81,7 +81,7 @@ def test_claim6_failure_round_beyond_what_relays_could_carry():
 def _sighting(st, payload, reporter=3, link=(3, 4)):
     """The rule and detail verify_state gives one round-2 X report."""
     try:
-        verify_state(st, 5, link, ((X, 2, reporter, payload), None))
+        verify_state(st, link, ((X, 2, reporter, payload), None))
     except InconsistencyError as exc:
         return exc.rule, exc.detail
     return None
@@ -142,19 +142,25 @@ def test_no_random_of_a_round_precedes_its_receive_phase(n, t, type_id):
     # That rests on this: check_format admits only reports of earlier
     # rounds, so before round r's receive phase no agent holds a random of
     # round r or later but its own round-r draw. The random/random-conflict
-    # rule of verify_state stays live; its rule fixture covers it.
+    # rule of phase 3 stays live; its rule fixture covers it.
     assert pause_failures(n, t, type_id)["randoms"] == []
 
 
 # --- merge case table --------------------------------------------------------
 
-def _merge(st, link, recv):
-    """Merge a report of sender 2 into agent 1's tables at round 5."""
-    merge_state(st, link, recv, (recv[0], (2, 5)))
+def _merge(st, link, recv, sender=2):
+    """Merge a report of sender into agent 1's tables at round 5: a faulty
+    report by merge_state, a correct one through verify_and_update, which
+    merges it itself."""
+    if recv[0][0] == X:
+        merge_state(st, link, recv, (recv[0], (sender, 5)))
+    else:
+        phase3(st, link, recv, sender=sender)
 
 
 def test_merge_case1_direct_rr_appends():
-    st = receiver(ns={(1, 2): ((R, 5, 1, 2), None)})
+    # phase 1 writes agent 1's own round-5 report, with sender 2's random
+    st = receiver(ns={(1, 2): ((R, 5, 1, 2), None)}, randoms={(2, 5): 2})
     _merge(st, (1, 2), ((R, 4, 2, 1), None))
     assert st.ns[(1, 2)] == ((R, 5, 1, 2), None)        # NS untouched
     assert st.hs[((1, 2), 4)] == ((R, 4, 2, 1),)
@@ -168,8 +174,9 @@ def test_merge_case2_is_an_error():
 
 
 def test_merge_case3_direct_xr_appends():
+    # relayed by 3: agent 1 does not hear 2, so the failure stays in NS
     st = receiver(ns={(1, 2): ((X, 3, 1, (0, 0, 1, 1)), None)})
-    _merge(st, (1, 2), ((R, 2, 2, 1), None))
+    _merge(st, (1, 2), ((R, 2, 2, 1), None), sender=3)
     assert st.ns[(1, 2)][0][0] == X                     # fault is kept
     assert st.hs[((1, 2), 2)] == ((R, 2, 2, 1),)
 
@@ -376,17 +383,29 @@ def test_memo_plans_each_passed_table_once():
                    if st.decision is UNDECIDED and r <= ex.config.t + 3
                    for j, table in st.pending_ns.items()}
         rounds.append((r, ex.checked, shipped))
+    kinds = Counter()
     for r, memo, shipped in rounds:
         assert memo.tables.keys() == shipped.keys(), r
         uids = {}
         for key, (table, err, plan) in memo.tables.items():
             assert table is shipped[key] and err is None
-            assert [(link, recv) for link, recv, _, _ in plan] == sorted(
+            assert [(link, recv) for link, recv, *_ in plan] == sorted(
                 table.items())
-            for link, recv, uid, adopted in plan:
+            for link, recv, uid, adopted, hs_key, rand_key in plan:
                 assert uids.setdefault((link, recv), uid) == uid
                 assert adopted == (recv[0], (key[0], r))
+                assert (hs_key, rand_key) == _keys(link, recv[0])
+                kinds[recv[0][0]] += 1
         assert len(set(uids.values())) == len(uids), r
+    assert kinds[R] and kinds[X]
+
+
+def _keys(link, t_a):
+    """The keys of a plan entry: a correct-link report's HS round and the
+    random of the endpoint that did not report it; none for a faulty one."""
+    if t_a[0] == X:
+        return None, None
+    return (link, t_a[1]), (sum(link) - t_a[2], t_a[1])
 
 
 def test_memo_plan_is_in_link_order_whatever_the_insertion_order(
@@ -395,9 +414,10 @@ def test_memo_plan_is_in_link_order_whatever_the_insertion_order(
     reverse = dict(sorted(table.items(), reverse=True))
     assert list(reverse) != sorted(reverse)
     plan = RoundMemo().check(5, 1, 3, 2, reverse)
-    assert [(link, recv, adopted) for link, recv, _, adopted in plan] == [
-        (link, recv, (recv[0], (2, 3))) for link, recv in sorted(
-            table.items())]
+    assert [(link, recv, adopted, keys) for link, recv, _, adopted, *keys
+            in plan] == [
+        (link, recv, (recv[0], (2, 3)), list(_keys(link, recv[0])))
+        for link, recv in sorted(table.items())]
 
 
 def test_memo_refuses_a_bool_key_before_planning(captured_round3):
@@ -487,20 +507,31 @@ def test_adopters_of_one_entry_hold_one_object():
 
 def test_relays_of_an_own_adoption_skip_phase3(monkeypatch):
     # at (13,4) a receiver gets many relays of entries it adopted itself;
-    # phase 3 verifies fewer entries than the distinct ones it was sent
+    # phase 3 verifies fewer entries than the distinct ones it was sent.
+    # It processes a faulty-link entry in verify_state and registers the
+    # random of a correct-link one itself, so verified counts both.
     n, t = 13, 4
     verified = Counter()
+    current = [None]            # the round whose compute phase runs
     real = verification.verify_state
 
-    def counted(state, r, link, recv):
-        verified[r] += 1
-        return real(state, r, link, recv)
+    def counted(state, link, recv):
+        verified[current[0]] += 1
+        return real(state, link, recv)
+
+    class Registrations(dict):
+        def setdefault(self, key, default=None):
+            verified[current[0]] += 1
+            return super().setdefault(key, default)
 
     monkeypatch.setattr(verification, "verify_state", counted)
     ex = Execution(RunConfig(n=n, t=t, seed=0, sample_pattern=True,
                              check_invariants=False))
+    for st in ex.agents.values():
+        st.randoms = Registrations(st.randoms)
     distinct = Counter()
     for r in ex.steps():
+        current[0] = r
         for st in ex.agents.values():
             if st.decision is UNDECIDED and r <= t + 3:
                 distinct[r] += len({entry for table in st.pending_ns.values()
