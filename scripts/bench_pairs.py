@@ -2,9 +2,11 @@
 """Paired benchmark runs of two source trees, written to one JSON file.
 
     python3 scripts/bench_pairs.py --parent ../old --change . \\
-        --workload honest-n13 --pairs 10 --seconds 35 --out BENCH.json
+        --workload honest-n13 deviation-study --pairs 10 --seconds 35 \\
+        --out BENCH.json
 
-Each pair runs each tree's own `perfbench/run.py --trace 0` once, on a
+Each workload named gets its own pairs, one workload after another. Each
+pair runs each tree's own `perfbench/run.py --trace 0` once, on a
 seed of its own (pair k on seed k+1), with the tree that goes first
 alternating from pair to pair. Every run must end with `correct: true`,
 or the script stops with exit 1 and writes nothing. For each end-to-end
@@ -76,11 +78,41 @@ def summarise(runs: list, contract: dict) -> dict:
     return out
 
 
+def bench_workload(trees: dict, workload: str, args, contract: dict):
+    """Run one workload's pairs and add its summary to the --out file."""
+    runs = []
+    for k in range(args.pairs):
+        seed = k + 1
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {"pair": k, "seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(trees[side], workload, seed,
+                                  args.seconds)
+        runs.append(pair)
+        print(f"pair {k} seed {seed}: " + "  ".join(
+            f"{side} op_ms.p50={pair[side]['op_ms.p50']:.2f}"
+            for side in SIDES), flush=True)
+
+    doc = (json.loads(args.out.read_text()) if args.out.exists()
+           else {"workloads": {}})
+    doc["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
+                   "python": platform.python_version()}
+    doc["workloads"][workload] = {
+        "pairs": args.pairs, "seconds": args.seconds,
+        "metrics": summarise(runs, contract), "runs": runs}
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    for name, m in doc["workloads"][workload]["metrics"].items():
+        print(f"{name}: parent {m['parent']['median']:.4g} change "
+              f"{m['change']['median']:.4g} {m['unit']}, change better in "
+              f"{m['change_wins']}/{m['pairs']}, within bound "
+              f"{m['within_bound']}, gain shown {m['gain_shown']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
@@ -93,32 +125,8 @@ def main(argv=None) -> int:
             parser.error(f"{tree} has no perfbench/run.py")
     contract = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
-    runs = []
-    for k in range(args.pairs):
-        seed = k + 1
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        pair = {"pair": k, "seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(trees[side], args.workload, seed,
-                                  args.seconds)
-        runs.append(pair)
-        print(f"pair {k} seed {seed}: " + "  ".join(
-            f"{side} op_ms.p50={pair[side]['op_ms.p50']:.2f}"
-            for side in SIDES), flush=True)
-
-    doc = (json.loads(args.out.read_text()) if args.out.exists()
-           else {"workloads": {}})
-    doc["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
-                   "python": platform.python_version()}
-    doc["workloads"][args.workload] = {
-        "pairs": args.pairs, "seconds": args.seconds,
-        "metrics": summarise(runs, contract), "runs": runs}
-    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    for name, m in doc["workloads"][args.workload]["metrics"].items():
-        print(f"{name}: parent {m['parent']['median']:.4g} change "
-              f"{m['change']['median']:.4g} {m['unit']}, change better in "
-              f"{m['change_wins']}/{m['pairs']}, within bound "
-              f"{m['within_bound']}, gain shown {m['gain_shown']}")
+    for workload in args.workload:
+        bench_workload(trees, workload, args, contract)
     return 0
 
 

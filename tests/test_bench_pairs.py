@@ -2,6 +2,7 @@
 the two verdicts."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,35 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_the_iqr(
     assert m["within_bound"]
     assert (out["ops_per_s"]["change_wins"], out["ops_per_s"]["gain_shown"],
             out["ops_per_s"]["within_bound"]) == (0, False, True)
+
+
+def test_main_benches_each_named_workload_into_one_file(bench_pairs, tmp_path,
+                                                         monkeypatch):
+    # two workloads in one invocation: each gets its pairs, and the --out
+    # file holds both, with every run's seed and order
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(CONTRACT))
+    calls = []
+
+    def fake(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed))
+        return {"op_ms.p50": 10.0 if tree.name == "parent" else 9.0,
+                "ops_per_s": 5.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change",
+        str(tmp_path / "change"), "--workload", "w1", "w2", "--pairs", "2",
+        "--seconds", "1", "--out", str(out)]) == 0
+    assert calls == [("parent", "w1", 1), ("change", "w1", 1),
+                     ("change", "w1", 2), ("parent", "w1", 2),
+                     ("parent", "w2", 1), ("change", "w2", 1),
+                     ("change", "w2", 2), ("parent", "w2", 2)]
+    doc = json.loads(out.read_text())
+    assert sorted(doc["workloads"]) == ["w1", "w2"]
+    for w in doc["workloads"].values():
+        assert w["pairs"] == 2
+        assert w["metrics"]["op_ms.p50"]["change_wins"] == 2
