@@ -1,5 +1,6 @@
 """Agent status, decision round/set, and the proposal election."""
 
+import random
 from collections import Counter
 from itertools import permutations
 from math import factorial
@@ -11,6 +12,7 @@ from rucon.decision import (agent_status, clean_rounds, decision_round,
                             decision_set, elect, status_timeline)
 from rucon.errors import InconsistencyError
 from rucon.links import X, link_of
+from rucon.sharing import DEFAULT_PRIME as PRIME
 
 
 def _mark_faulty(settled, agent, peers, rounds):
@@ -231,3 +233,25 @@ def test_elect_is_pure_and_valid(ids, data):
     winner = elect(ids, values, proposals)
     assert winner in values.values()
     assert elect(list(reversed(ids)), values, proposals) == winner
+
+
+@pytest.mark.parametrize("q", [0.25, 0.5])
+def test_a_fixed_quantile_proposal_wins_at_the_formula_rate(q):
+    # Agent 1 always proposes the quantile 1-q of GF(PRIME); the other four
+    # draw uniformly. It wins exactly when one honest proposal lies above
+    # it and three below, with probability (|D|-1)*q*(1-q)^(|D|-2); ties
+    # among draws from GF(2^31-1) are negligible. The tolerance is four
+    # binomial standard errors.
+    size, draws = 5, 20_000
+    rng = random.Random(f"elect:{q}")
+    fixed = int((1 - q) * PRIME)
+    ids = list(range(1, size + 1))
+    values = {a: a for a in ids}
+    wins = 0
+    for _ in range(draws):
+        proposals = {a: rng.randrange(PRIME) for a in ids[1:]}
+        proposals[1] = fixed
+        wins += elect(ids, values, proposals) == 1
+    p = (size - 1) * q * (1 - q) ** (size - 2)
+    se = (p * (1 - p) / draws) ** 0.5
+    assert abs(wins / draws - p) <= 4 * se, (wins / draws, p, se)

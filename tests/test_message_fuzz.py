@@ -10,7 +10,7 @@ expectation: which rule punishes the targeted peer, or that nothing can.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import EditMessages
 from rucon.errors import InconsistencyError
@@ -183,9 +183,7 @@ def _fields(msg):
     return out
 
 
-# a factory with a class's name: the test's source seeds its derandomized
-# examples, so the call below keeps the text it had as a class
-def OneFieldMutation(round_, peer, field, pick, variant):
+def one_field_mutation(round_, peer, field, pick, variant):
     """Agent 1 changes one field of its round-r message to one peer."""
     def edit(st, msgs):
         if msgs:
@@ -197,6 +195,14 @@ def OneFieldMutation(round_, peer, field, pick, variant):
     return EditMessages(round_, edit)
 
 
+# The seed that derandomize=True derived from this test's source until it
+# was pinned; @seed takes precedence, so the 300 examples no longer change
+# when the test's text does.
+FUZZ_SEED = int("2888997965144892146773603884172289567277121390371262212844"
+                "1648495651866158843392482303717665160232278677655391826088")
+
+
+@seed(FUZZ_SEED)
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(scale=st.sampled_from([(5, 1), (7, 2)]),
        seed=st.integers(0, 7),
@@ -208,7 +214,8 @@ def OneFieldMutation(round_, peer, field, pick, variant):
 def test_one_field_mutation_is_punished_by_rule(scale, seed, round_, peer,
                                                 field, pick, variant):
     n, t = scale
-    dev = OneFieldMutation(1 + round_ % (t + 4), peer, field, pick, variant)
+    dev = one_field_mutation(1 + round_ % (t + 4), peer, field, pick,
+                             variant)
     ex = Execution(RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
                              deviation=dev))
     for _ in ex.steps():
