@@ -96,43 +96,64 @@ class Deviation:
     def after_compute(self, st, r: int):
         pass
 
-    def _targets(self, default):
-        return default if self.targets is None else self.targets
+
+class EditMessages(Deviation):
+    """Base of every type that edits its outgoing messages.
+
+    acts_in(r) names the rounds it edits in; edit(st, r, msgs) edits that
+    round's messages, keyed by recipient, in place and returns whether the
+    run counts as applied. Built with a round and an edit function, as
+    EditMessages(round_, edit), it edits in that one round.
+    """
+
+    def __init__(self, round_=None, edit=None, /, agent=1, seed=0, **params):
+        super().__init__(agent, seed, **params)
+        if edit is not None:
+            self.round, self.edit = round_, edit
+
+    def acts_in(self, r: int) -> bool:
+        return r == self.round
+
+    def mutate_outgoing(self, st, r, msgs):
+        if self.acts_in(r) and self.edit(st, r, msgs):
+            self.applied = True
+        return msgs
+
+    def _present(self, msgs, default):
+        """The targets, else default, that have a message this round."""
+        targets = default if self.targets is None else self.targets
+        return [j for j in targets if j in msgs]
 
 
-class FakeValueShares(Deviation):
+class FakeValueShares(EditMessages):
     """Round 1: a subset of peers gets shares of a different value."""
 
     type_id = 1
     defaults = {"targets": None}
+    round = 1       # the one round it edits in
 
-    def mutate_outgoing(self, st, r, msgs):
-        if r != 1:
-            return msgs
+    def edit(self, st, r, msgs):
         fake = (st.value + 1) % self.domain_size
         poly = make_polynomial(fake, self.rng, st.p)
         recipients = sorted(msgs)
-        for j in self._targets(recipients[:len(recipients) // 2]):
-            if j in msgs:
-                msgs[j]["q"] = share_for(poly, j)
-                self.applied = True
-        return msgs
+        targets = self._present(msgs, recipients[:len(recipients) // 2])
+        for j in targets:
+            msgs[j]["q"] = share_for(poly, j)
+        return bool(targets)
 
 
-class GarbageShares(Deviation):
+class GarbageShares(EditMessages):
     """Round 1: shares that lie on no single line."""
 
     type_id = 2
     defaults = {"targets": None}
+    round = 1       # the one round it edits in
 
-    def mutate_outgoing(self, st, r, msgs):
-        if r != 1:
-            return msgs
-        for j in self._targets(sorted(msgs)):
-            if j in msgs:
-                msgs[j]["q"] = (msgs[j]["q"] + 1 + j) % st.p
-                self.applied = True
-        return msgs
+    def edit(self, st, r, msgs):
+        targets = self._present(msgs, sorted(msgs))
+        for j in targets:
+            msgs[j]["q"] = (msgs[j]["q"] + 1 + j) % st.p
+        return bool(targets)
 
 
 class Derandomized(Deviation):
@@ -159,23 +180,23 @@ class Derandomized(Deviation):
             self._zero_round(st, r + 1)
 
 
-class MalformedMessages(Deviation):
+class MalformedMessages(EditMessages):
     """From round m, targeted peers receive structural garbage."""
 
     type_id = 4
     defaults = {"round": 2, "targets": None}
 
-    def mutate_outgoing(self, st, r, msgs):
-        if r < self.round:
-            return msgs
-        for j in self._targets(sorted(msgs)):
-            if j in msgs:
-                msgs[j] = {"sender": st.id, "round": r, "kind": "garbage"}
-                self.applied = True
-        return msgs
+    def acts_in(self, r):
+        return r >= self.round
+
+    def edit(self, st, r, msgs):
+        targets = self._present(msgs, sorted(msgs))
+        for j in targets:
+            msgs[j] = {"sender": st.id, "round": r, "kind": "garbage"}
+        return bool(targets)
 
 
-class IgnorePeers(Deviation):
+class IgnorePeers(EditMessages):
     """Drop t+1 inboxes, override the give-up rule, keep participating.
 
     With guessing enabled the deviant also rewrites the dropped links in
@@ -207,15 +228,19 @@ class IgnorePeers(Deviation):
         if st.decision == NO_DECISION:
             st.decision = UNDECIDED
 
-    def mutate_outgoing(self, st, r, msgs):
+    def acts_in(self, r):
+        return True
+
+    def edit(self, st, r, msgs):
         # The give-up rule would have silenced us towards lost peers; a
-        # deviant bent on staying in the game keeps sending to everyone.
-        if st.decision is not UNDECIDED:
-            return msgs
-        table = dict(st.ns)
-        for q in sorted(st.lost):
-            msgs[q] = build_message(st, r, q, table)
-        return msgs
+        # deviant bent on staying in the game keeps sending to everyone,
+        # from any round. Dropping inboxes is what counts as applied.
+        if st.decision is UNDECIDED:
+            shipped = next(iter(msgs.values()), None)
+            table = dict(st.ns) if shipped is None else shipped.get("ns")
+            for q in sorted(st.lost):
+                msgs[q] = build_message(st, r, q, table)
+        return False
 
     def after_compute(self, st, r):
         if not self.guess:
@@ -243,7 +268,7 @@ def _fabricate_bits(st, rng, reporter, round_, link, n):
     return st.xrandoms.get((reporter, round_, link), tuple(guess))
 
 
-class LinkStateLie(Deviation):
+class LinkStateLie(EditMessages):
     """One-shot lie about a single link state in the outgoing table.
 
     Sub-cases: 1 own correct link reported faulty; 2 own faulty link
@@ -269,14 +294,11 @@ class LinkStateLie(Deviation):
         # rejected by bind
         return range(self.cases.get(self.case, (1,))[0], t + 4)
 
-    def mutate_outgoing(self, st, r, msgs):
-        if r != self.round or not msgs:
-            return msgs
-        lie = self._build_lie(st, r)
+    def edit(self, st, r, msgs):
+        lie = self._build_lie(st, r) if msgs else None
         if lie is None:
-            return msgs
+            return False
         link, entry = lie
-        self.applied = True
         ns = dict(st.ns)     # the shipped table is shared: edit a copy
         if entry is None:
             ns.pop(link, None)
@@ -284,7 +306,7 @@ class LinkStateLie(Deviation):
             ns[link] = entry
         for msg in msgs.values():
             msg["ns"] = ns
-        return msgs
+        return True
 
     def _pick(self, st, want_direct, want_kind):
         i = st.id
@@ -346,57 +368,57 @@ class WrongRandomRelay(LinkStateLie):
         return link, ((R, ta[1], ta[2], (ta[3] + 1) % self.n), tb)
 
 
-class CorruptShareRelay(Deviation):
+class CorruptShareRelay(EditMessages):
     """Reconstruction round: one forwarded share is shifted off the line."""
 
     type_id = 8
     defaults = {"targets": None}
 
-    def mutate_outgoing(self, st, r, msgs):
-        if r != self.t + 3:
-            return msgs
-        for j in self._targets(sorted(msgs)):
-            if j not in msgs:
-                continue
+    def acts_in(self, r):
+        return r == self.t + 3
+
+    def edit(self, st, r, msgs):
+        targets = self._present(msgs, sorted(msgs))
+        for j in targets:
             # never empty: the deviant always holds its own share
             shares = dict(msgs[j]["shares"])
             gen = min(shares)
             q, b = shares[gen]
             shares[gen] = ((q + 1) % st.p, b)
             msgs[j]["shares"] = shares
-            self.applied = True
-        return msgs
+        return bool(targets)
 
 
-class WrongConsensus(Deviation):
+class WrongConsensus(EditMessages):
     """Final round: announce a consensus set nobody computed."""
 
     type_id = 9
 
-    def mutate_outgoing(self, st, r, msgs):
-        if r != self.t + 4:
-            return msgs
+    def acts_in(self, r):
+        return r == self.t + 4
+
+    def edit(self, st, r, msgs):
         if st.consensus:
             fake = (next(iter(st.consensus)) + 1) % self.domain_size
         else:
             fake = 0
         for j in msgs:
             msgs[j]["consensus"] = frozenset({fake})
-        self.applied = bool(msgs)
-        return msgs
+        return bool(msgs)
 
 
-class PretendCrash(Deviation):
+class PretendCrash(EditMessages):
     """Send nothing from round m on; keep listening."""
 
     type_id = 10
     defaults = {"round": 1}
 
-    def mutate_outgoing(self, st, r, msgs):
-        if r >= self.round:
-            self.applied = True
-            return {}
-        return msgs
+    def acts_in(self, r):
+        return r >= self.round
+
+    def edit(self, st, r, msgs):
+        msgs.clear()
+        return True
 
 
 DEVIATION_TYPES = {cls.type_id: cls for cls in (

@@ -145,9 +145,13 @@ class RunConfig:
             bad = [v for v in self.values if v not in domain]
             if bad:
                 raise ValueError(f"values outside the domain: {bad}")
-        if self.deviation is not None and not 1 <= self.deviation.agent <= self.n:
-            raise ValueError(f"deviating agent {self.deviation.agent} "
-                             f"outside 1..{self.n}")
+        if self.deviation is not None:
+            agent = self.deviation.agent
+            if type(agent) is not int:
+                raise ValueError(f"agent must be an int, got agent={agent!r}")
+            if not 1 <= agent <= self.n:
+                raise ValueError(f"deviating agent {agent} "
+                                 f"outside 1..{self.n}")
         if self.pattern is not None:
             self.pattern.validate(self.n, self.t)
         if self.deviation is not None:

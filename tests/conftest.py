@@ -1,4 +1,4 @@
-"""Shared helpers: mid-round snapshots, the deviation grid and message edits.
+"""Shared helpers: mid-round snapshots and the deviation grid.
 
 The simulator's run() only reports end-of-run results; verification tests
 need an agent's state exactly as it stands between the receive and compute
@@ -14,7 +14,7 @@ import pytest
 
 from rucon import simulator
 from rucon.agent import build_message
-from rucon.deviations import DEVIATION_TYPES, Deviation, make_deviation
+from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.links import last_update
 from rucon.simulator import Execution, RunConfig
 
@@ -42,20 +42,6 @@ def deviant(type_id, agent=1, seed=0, **params):
     """The deviation of one grid entry; None is honest play."""
     return (None if type_id is None
             else make_deviation(type_id, agent=agent, seed=seed, **params))
-
-
-class EditMessages(Deviation):
-    """A deviant that calls edit(st, msgs) on its round-r outgoing messages,
-    keyed by recipient; the run counts as applied when edit returns true."""
-
-    def __init__(self, round_, edit, agent=1):
-        super().__init__(agent=agent)
-        self.round, self.edit = round_, edit
-
-    def mutate_outgoing(self, st, r, msgs):
-        if r == self.round and self.edit(st, msgs):
-            self.applied = True
-        return msgs
 
 
 def deviation_grid(t):

@@ -5,16 +5,17 @@ option) so a reviewer can read the verdicts without digging through asserts.
 The deviation study is the slow part; the whole module runs in minutes.
 """
 
+import copy
 import itertools
 import math
 import time
 
 import pytest
 
-from rucon.deviations import DEVIATION_TYPES, make_deviation
+from rucon.deviations import DEVIATION_TYPES, Deviation, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.sharing import make_polynomial, reconstruct, share_for
-from rucon.simulator import RunConfig, deviation_study, run
+from rucon.simulator import RunConfig, deviation_study, run, sample_values
 from rucon.cli import main as cli_main
 from rule_fixtures import FIXTURES
 
@@ -101,6 +102,53 @@ class _FixedRng:
 
     def randrange(self, _p):
         return self.value
+
+
+def _inboxes(n, t, seed, values):
+    """Agent 1's inbox of every round, recorded by its honest strategy's
+    filter_inbox, in one run on a sampled blind pattern."""
+    rec = Deviation()
+    inboxes = {}
+
+    def record(st, r, inbox):
+        inboxes[r] = copy.deepcopy(inbox)
+        return inbox
+
+    rec.filter_inbox = record
+    run(RunConfig(n=n, t=t, seed=seed, values=values, sample_pattern=True,
+                  deviation=rec, check_invariants=False))
+    return inboxes
+
+
+def test_another_agents_value_is_blind_to_agent_1():
+    # Blind preferences: changing agent j's value, and nothing else, changes
+    # nothing agent 1 receives before round t+3 but j's round-1 share q,
+    # which changes whenever it arrives. The share is uniform on its own
+    # (above), so agent 1 learns nothing of j's value until reconstruction.
+    bad, arrived, domain = [], 0, RunConfig.value_domain
+    for (n, t), seed in itertools.product(((5, 1), (7, 2)), range(60)):
+        j = 2 + seed % (n - 1)
+        values = sample_values(seed, n, domain)
+        changed = list(values)
+        k = (domain.index(values[j - 1]) + 1) % len(domain)
+        changed[j - 1] = domain[k]
+        a, b = _inboxes(n, t, seed, values), _inboxes(n, t, seed, changed)
+        for r in range(1, t + 3):
+            if a[r].keys() != b[r].keys():
+                bad.append((n, t, seed, r, "senders"))
+                continue
+            for sender, msg in a[r].items():
+                other = b[r][sender]
+                if (sender, r) == (j, 1):
+                    arrived += 1
+                    msg, other = dict(msg), dict(other)
+                    if msg.pop("q") == other.pop("q"):
+                        bad.append((n, t, seed, r, sender, "q unchanged"))
+                if msg != other:
+                    bad.append((n, t, seed, r, sender, "message"))
+    _report(f"blind preferences: another agent's value reaches agent 1 "
+            f"before round t+3 only as its round-1 share ({arrived} of 120 "
+            f"runs deliver it)", not bad and arrived > 0, f"first: {bad[:1]}")
 
 
 def test_every_verification_rule_fires():

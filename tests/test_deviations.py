@@ -164,6 +164,24 @@ def test_ignore_peers_without_guessing_rewrites_nothing():
     assert all(ta[:3] == (R, 2, 1) for ta, _ in guessed.values())
 
 
+def test_ignore_peers_resends_the_rounds_one_table():
+    # its resends to lost peers ship the table send_phase shipped, so every
+    # receiver's phase 2 shares one check of it
+    dev = make_deviation(5, agent=1, seed=0)
+    mutate, resent = dev.mutate_outgoing, []
+
+    def recording(st, r, msgs):
+        msgs = mutate(st, r, msgs)
+        if st.lost and st.lost.keys() <= msgs.keys() and r <= st.t + 3:
+            resent.append(r)
+            assert len({id(msg["ns"]) for msg in msgs.values()}) == 1, r
+        return msgs
+
+    dev.mutate_outgoing = recording
+    _dev_run(dev)
+    assert resent
+
+
 @pytest.mark.parametrize("type_id", [1, 2, 4, 8])
 def test_targets_change_only_the_named_peer(type_id):
     dev = make_deviation(type_id, agent=1, seed=0, targets=[3])

@@ -12,7 +12,7 @@ expectation: which rule punishes the targeted peer, or that nothing can.
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import EditMessages
+from rucon.deviations import EditMessages
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
 from rucon.simulator import Execution, FailurePattern, RunConfig
@@ -185,7 +185,7 @@ def _fields(msg):
 
 def one_field_mutation(round_, peer, field, pick, variant):
     """Agent 1 changes one field of its round-r message to one peer."""
-    def edit(st, msgs):
+    def edit(st, r, msgs):
         if msgs:
             j = sorted(msgs)[peer % len(msgs)]
             fields = _fields(msgs[j])
@@ -232,7 +232,7 @@ def test_one_field_mutation_is_punished_by_rule(scale, seed, round_, peer,
 
 def _xr_run(n, t, seed, round_, peer, pick, variant, pattern=None):
     """The targeted peer's final state after one evidence-bit mutation."""
-    def edit(st, msgs):
+    def edit(st, r, msgs):
         if peer in msgs:
             msgs[peer] = mutate(msgs[peer], "xr", pick, variant, peer,
                                 st.n, st.p)
@@ -361,7 +361,7 @@ def _bool_run(variant):
     agent, round_, edit, _ = BOOL_VARIANTS[variant]
     peers = []
 
-    def edit_all(st, msgs):
+    def edit_all(st, r, msgs):
         for j in msgs:
             msgs[j] = dict(msgs[j])
             edit(msgs[j])

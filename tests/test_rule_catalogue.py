@@ -24,9 +24,9 @@ from pathlib import Path
 import pytest
 
 import rucon
-from conftest import EditMessages, run_agents
+from conftest import run_agents
 from rucon import agent
-from rucon.deviations import make_deviation
+from rucon.deviations import EditMessages, make_deviation
 from rucon.errors import InconsistencyError
 from rucon.links import R, X
 from rucon.simulator import Execution, FailurePattern, RunConfig, run
@@ -250,7 +250,7 @@ def test_every_listed_envelope_rule_has_a_message_witness():
 @pytest.mark.parametrize("rule", sorted(ENVELOPE_EDITS))
 def test_envelope_witness_raises_its_rule(rule):
     round_, edit = ENVELOPE_EDITS[rule]
-    dev = EditMessages(round_, lambda st, msgs: edit(msgs[2]))
+    dev = EditMessages(round_, lambda st, r, msgs: edit(msgs[2]))
     ex = Execution(RunConfig(n=5, t=1, seed=0, deviation=dev,
                              check_invariants=False))
     for _ in ex.steps():

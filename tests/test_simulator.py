@@ -125,6 +125,12 @@ def test_config_validation():
                       ("seed", True), ("seed", 1.0)):
         with pytest.raises(ValueError, match=f"{name} must be an int"):
             run(RunConfig(**{"n": 5, "t": 1, "seed": 0, name: bad}))
+    # so is the deviant: agent=2.5 has no state, and True or 1.0 would
+    # pass as agent 1
+    for bad in (2.5, True, 1.0):
+        with pytest.raises(ValueError, match="agent must be an int"):
+            run(RunConfig(n=5, t=1, seed=0,
+                          deviation=make_deviation(10, agent=bad)))
     for dev in (make_deviation(10, agent=9), make_deviation(10, agent=0),
                 make_deviation(5, round="abc"),
                 make_deviation(1, targets=[2, 6]),
@@ -132,6 +138,7 @@ def test_config_validation():
                 make_deviation(2, targets=[2, 2]),
                 make_deviation(6, round=5), make_deviation(5, round=9),
                 make_deviation(1, rund=3), make_deviation(5, guess="no"),
+                make_deviation(9, edit=print),
                 make_deviation(6, case=9), make_deviation(6, case=0)):
         with pytest.raises(ValueError):
             run(RunConfig(n=5, t=1, seed=0, deviation=dev))
