@@ -7,6 +7,7 @@ consensus set. Decisions are terminal: a decided agent goes silent.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from operator import is_
@@ -53,6 +54,30 @@ class AgentState:
     m_star: object = None
     d_set: object = None
     elected: object = None
+
+
+def copy_state(state: AgentState) -> AgentState:
+    """A copy of an agent between two rounds that goes on apart from it.
+
+    Every store is written by key with values that are never edited in
+    place, so a shallow copy of each keeps the two apart, but for shares,
+    whose per-generator dicts take new points, own_bits, whose bits a
+    deviant may edit in place, and the consensus set. The rng is copied
+    by its state.
+    """
+    new = copy.copy(state)
+    new.lost, new.ns, new.hs = dict(state.lost), dict(state.ns), dict(state.hs)
+    new.randoms = dict(state.randoms)
+    new.heard_bits, new.xrandoms = dict(state.heard_bits), dict(state.xrandoms)
+    new.pending_ns = dict(state.pending_ns)
+    new.shares = {gen: dict(pts) for gen, pts in state.shares.items()}
+    new.own_bits = {r: {k: dict(bits) for k, bits in per.items()}
+                    for r, per in state.own_bits.items()}
+    new.consensus = set(state.consensus)
+    # a Random made by __new__ alone is unseeded: setstate seeds it
+    new.rng = random.Random.__new__(random.Random)
+    new.rng.setstate(state.rng.getstate())
+    return new
 
 
 def _canonical_keys(xr: dict, j: int, n: int) -> bool:

@@ -20,12 +20,18 @@ Types:
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
 from .agent import UNDECIDED, NO_DECISION, build_message
 from .links import R, X, all_links, link_of, own_vector, peers
 from .sharing import make_polynomial, share_for
+
+
+# the hooks a strategy has; one set on an instance is the instance's own
+HOOKS = {"after_init", "mutate_outgoing", "filter_inbox", "after_receive",
+         "after_compute"}
 
 
 class Deviation:
@@ -77,6 +83,16 @@ class Deviation:
         """The rounds a `round` parameter may name at t."""
         return range(1, t + 5)
 
+    def acts_from(self, t: int):
+        """The first round in which a hook can change anything, at t: 0
+        when after_init does. Up to that round a run with this strategy
+        does exactly what its honest twin does, so a study may fork it from
+        the twin there. The honest base never acts (inf); a subclass that
+        overrides a hook states its own, or acts from init, as type 3 does,
+        which is always sound. A hook set on an instance is not seen here:
+        see simulator._paired_runs."""
+        return math.inf if type(self) is Deviation else 0
+
     def describe(self) -> str:
         extra = f" {self.params}" if self.params else ""
         return f"type{self.type_id}{extra}"
@@ -113,6 +129,11 @@ class EditMessages(Deviation):
 
     def acts_in(self, r: int) -> bool:
         return r == self.round
+
+    def acts_from(self, t):
+        # acts_in is false before round, in the one-round base and in
+        # every subclass that keeps a round
+        return self.round
 
     def mutate_outgoing(self, st, r, msgs):
         if self.acts_in(r) and self.edit(st, r, msgs):
@@ -230,6 +251,11 @@ class IgnorePeers(EditMessages):
 
     def acts_in(self, r):
         return True
+
+    def acts_from(self, t):
+        # after_receive lifts a NO_DECISION from round 1, whatever round
+        # the inboxes are dropped from
+        return 1
 
     def edit(self, st, r, msgs):
         # The give-up rule would have silenced us towards lost peers; a
@@ -377,6 +403,9 @@ class CorruptShareRelay(EditMessages):
     def acts_in(self, r):
         return r == self.t + 3
 
+    def acts_from(self, t):
+        return t + 3
+
     def edit(self, st, r, msgs):
         targets = self._present(msgs, sorted(msgs))
         for j in targets:
@@ -396,6 +425,9 @@ class WrongConsensus(EditMessages):
 
     def acts_in(self, r):
         return r == self.t + 4
+
+    def acts_from(self, t):
+        return t + 4
 
     def edit(self, st, r, msgs):
         if st.consensus:

@@ -8,15 +8,16 @@ cannot condition on message contents.
 
 from __future__ import annotations
 
+import copy
 import gc
 import math
 import random
 import statistics
 from dataclasses import dataclass, field, replace
 
-from .agent import (BOT, NO_DECISION, UNDECIDED, compute_phase, init_agent,
-                    receive_phase, send_phase)
-from .deviations import Deviation
+from .agent import (BOT, NO_DECISION, UNDECIDED, compute_phase, copy_state,
+                    init_agent, receive_phase, send_phase)
+from .deviations import HOOKS, Deviation
 from .invariants import InvariantMonitor
 from .links import peers
 from .verification import RoundMemo
@@ -420,28 +421,101 @@ class ExperimentSummary:
 def deviation_study(base: RunConfig, makers, runs: int) -> list:
     """Paired comparison of each deviant's utility against its honest self.
 
-    Every trial runs one seed honest once, then once per maker with its
-    fresh deviation installed, and records the deviating agent's utility
-    difference. Each run takes the base config's pattern and values when
-    given, and otherwise samples them from the seed. Returns one summary
-    per maker, in maker order.
+    Every trial builds each maker's fresh deviation, runs one seed honest
+    once and once per deviation installed, and records the deviating
+    agent's utility difference. Each run takes the base config's pattern
+    and values when given, and otherwise samples them from the seed.
+    Returns one summary per maker, in maker order; no maker, no run.
+
+    A deviant run repeats its honest twin's work up to the round its
+    deviation first acts in, its acts_from(t), so it is forked from the
+    twin there: see _paired_runs.
     """
+    if type(runs) is not int:       # a bool or float is refused too
+        raise ValueError(f"runs must be an int, got runs={runs!r}")
     if runs < 1:
-        raise ValueError(f"a study needs at least one run, got {runs}")
+        raise ValueError(f"a study needs at least one run, got runs={runs}")
     tallies = [[] for _ in makers]     # per maker, one row per seed
+    if not tallies:
+        return []
     for k in range(runs):
         honest_cfg = replace(base, seed=base.seed + k, sample_pattern=True,
                              deviation=None, check_invariants=False,
                              trace=None)
-        honest = run(honest_cfg).utilities
-        for make_dev, rows in zip(makers, tallies):
-            dev = make_dev()
-            label = dev.describe()
-            rd = run(replace(honest_cfg, deviation=dev))
-            rows.append((label, honest[dev.agent], rd.utilities[dev.agent],
-                         "bot" in rd.decisions.values(), rd.deviation_applied,
-                         len(rd.guesses), sum(g["hit"] for g in rd.guesses)))
+        devs = [make_dev() for make_dev in makers]
+        honest, deviant = _paired_runs(honest_cfg, devs)
+        for dev, rd, rows in zip(devs, deviant, tallies):
+            rows.append((dev.describe(), honest[dev.agent],
+                         rd.utilities[dev.agent],
+                         "bot" in rd.decisions.values(),
+                         rd.deviation_applied, len(rd.guesses),
+                         sum(g["hit"] for g in rd.guesses)))
     return [_summary(rows) for rows in tallies]
+
+
+def _paired_runs(honest_cfg: RunConfig, devs: list):
+    """The honest run's utilities and each deviation's RunResult.
+
+    The honest twin is stepped once, in legs that pause at each distinct
+    acts_from of 2 or more, after the compute phase of the round before.
+    There one fork per deviation with that acts_from runs the rest of the
+    rounds with it installed. A deviation that acts from init or round 1
+    runs fresh: a copy of every agent then costs about what a new run's
+    set-up does. So does one with a hook set on the instance, which its
+    class's acts_from cannot see. One that never acts forks before the
+    last round. The cyclic collector is paused for the trial, as run()
+    pauses it for a run.
+    """
+    configs = [replace(honest_cfg, deviation=dev) for dev in devs]
+    for config in configs:
+        config.validate()       # a bad round must not reach acts_from
+    t = honest_cfg.t
+    last = t + 4
+    starts = [min(0 if HOOKS & vars(dev).keys() else dev.acts_from(t), last)
+              for dev in devs]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = [run(config) if start <= 1 else None
+                   for config, start in zip(configs, starts)]
+        twin = Execution(honest_cfg)
+        done = 1
+        for start in sorted({s for s in starts if s > 1}):
+            _step(twin, range(done, start))
+            done = start
+            for k, s in enumerate(starts):
+                if s == start:
+                    fork = _fork(twin, configs[k])
+                    _step(fork, fork.rounds)
+                    results[k] = fork.result()
+        _step(twin, range(done, last + 1))
+        return twin.result().utilities, results
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _fork(twin: Execution, config: RunConfig) -> Execution:
+    """The untraced, unmonitored twin, paused between two legs of steps(),
+    as a run of config, validated, from the round after the last leg.
+
+    config differs from the twin's in its deviation alone, which changes
+    nothing before that round. Every agent's state is copied, so the two
+    runs go on apart.
+    """
+    ex = copy.copy(twin)
+    ex.config, ex.dev = config, config.deviation
+    ex.agents = {i: copy_state(st) for i, st in twin.agents.items()}
+    ex.strategies = {**twin.strategies, ex.dev.agent: ex.dev}
+    ex.rounds = range(twin.rounds.stop, config.t + 5)
+    return ex
+
+
+def _step(ex: Execution, rounds: range):
+    """Run ex's rounds in the given range, to completion."""
+    ex.rounds = rounds
+    for _ in ex.steps():
+        pass
 
 
 def _summary(rows) -> ExperimentSummary:

@@ -4,6 +4,7 @@ the two verdicts."""
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -132,3 +133,52 @@ def test_main_benches_each_named_workload_into_one_file(bench_pairs, tmp_path,
     for w in doc["workloads"].values():
         assert w["pairs"] == 2
         assert w["metrics"]["op_ms.p50"]["change_wins"] == 2
+
+
+def test_pytest_mode_times_one_node_in_alternating_pairs(bench_pairs,
+                                                          tmp_path,
+                                                          monkeypatch):
+    # --pytest records each run's wall seconds under the node id, in the
+    # same --out file as the workloads, which it keeps
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"workloads": {"w1": {"pairs": 2}}}))
+    calls = []
+
+    def fake(tree, nodeid):
+        calls.append((tree.name, nodeid))
+        return 60.0 + len(calls) if tree.name == "parent" else 45.0
+
+    real = bench_pairs.time_pytest
+    monkeypatch.setattr(bench_pairs, "time_pytest", fake)
+    node = "tests/test_acceptance.py::test_no_deviation_is_profitable"
+    argv = ["--parent", str(tmp_path / "parent"), "--change",
+            str(tmp_path / "change"), "--pytest", node, "--out", str(out)]
+    assert bench_pairs.main(argv + ["--pairs", "3"]) == 0
+    assert calls == [("parent", node), ("change", node), ("change", node),
+                     ("parent", node), ("parent", node), ("change", node)]
+    doc = json.loads(out.read_text())
+    assert doc["workloads"] == {"w1": {"pairs": 2}}
+    entry = doc["pytest"][node]
+    assert [(run["first"], run["parent"]["wall_s"], run["change"]["wall_s"])
+            for run in entry["runs"]] == [("parent", 61.0, 45.0),
+                                          ("change", 64.0, 45.0),
+                                          ("parent", 65.0, 45.0)]
+    m = entry["metrics"]["wall_s"]
+    assert (m["unit"], m["better"], m["change_wins"], m["pairs"]) == (
+        "s", "lower", 3, 3)
+    assert m["parent"] == bench_pairs.spread([61.0, 64.0, 65.0])
+    assert m["gain_shown"] and "within_bound" not in m
+    # a failing node stops the script
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *a, **k: SimpleNamespace(returncode=1,
+                                                        stdout="", stderr=""))
+    with pytest.raises(SystemExit, match="failed"):
+        real(tmp_path, node)
+    # a node and a workload are one or the other, and a workload is timed
+    for bad in (argv + ["--pairs", "3", "--workload", "w1"],
+                argv[:4] + ["--workload", "w1", "--pairs", "3"]):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(bad)

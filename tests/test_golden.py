@@ -9,8 +9,11 @@ the run's input:
   puts deviant agent 3 under the invariant monitor;
 - lies-n-t: every type-6 sub-case and type 7 at every round bind accepts,
   which reach the round-relation and merge rules.
-Each study group's digest covers every ExperimentSummary field of the
-paired deviation study, type by type. The fixtures digest covers the full
+The draws digest covers, over the honest and deviations corpora, every
+agent's end-of-run message randoms, evidence bits, checked evidence
+vectors and rng state, which no trace or RunResult holds. Each study
+group's digest covers every ExperimentSummary field of the paired
+deviation study, type by type. The fixtures digest covers the full
 error (category, rule, link, round and text) that every rule fixture
 raises on its mutated input. So a refactor that changes what any run
 computes or records fails here; CHANGES.md says why each digest was last
@@ -26,7 +29,7 @@ from rucon.cli import write_trace
 from conftest import deviation_grid
 from rucon.deviations import DEVIATION_TYPES, make_deviation
 from rucon.errors import InconsistencyError
-from rucon.simulator import RunConfig, deviation_study, run
+from rucon.simulator import Execution, RunConfig, deviation_study, run
 from rule_fixtures import FIXTURES
 
 HONEST_SEEDS = range(4)
@@ -46,6 +49,8 @@ GOLDEN = {
         "ae553fd52dae247ba1f94c0e8ae10ba4fec178e0582bd93994733e94477259cb",
     "deviations-7-2":
         "ac69b9144e05906e31c7a09d711ff72ae02f41862ebf81fd936b96996c225cba",
+    "draws":
+        "dd331c3b5182fd829fbf77e72ccee56e73415ad7117988d967fa15bab9905f01",
     "lies-5-1":
         "b36cd919549be189fdd032da41a47c998fc4cba98dc50937078589093967801d",
     "lies-7-2":
@@ -106,6 +111,22 @@ def _study_digest(group):
     return digest.hexdigest()
 
 
+def _draws_digest():
+    digest = hashlib.sha256()
+    for group in sorted(GOLDEN):
+        if not group.startswith(("honest", "deviations")):
+            continue
+        for config in _configs(group):
+            ex = Execution(config)
+            for _ in ex.steps():
+                pass
+            for i, st in sorted(ex.agents.items()):
+                digest.update(repr((i, _canon(st.randoms), _canon(st.own_bits),
+                                    _canon(st.xrandoms),
+                                    st.rng.getstate())).encode())
+    return digest.hexdigest()
+
+
 def _fixtures_digest():
     digest = hashlib.sha256()
     for name in sorted(FIXTURES):
@@ -122,6 +143,9 @@ def _fixtures_digest():
 def test_golden_corpus(group, tmp_path):
     if group == "fixtures":
         assert _fixtures_digest() == GOLDEN[group]
+        return
+    if group == "draws":
+        assert _draws_digest() == GOLDEN[group]
         return
     if group.startswith("study"):
         assert _study_digest(group) == GOLDEN[group]

@@ -1,5 +1,7 @@
 """The lockstep executor: patterns, delivery, utilities, and determinism."""
 
+import copy
+import dataclasses
 import gc
 import json
 
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rucon.agent import BOT
-from conftest import TYPES, deviant
+from conftest import TYPES, deviant, deviation_grid
 from rucon.deviations import Deviation, make_deviation
 from rucon.links import X
+from rucon import simulator
 from rucon.simulator import (Execution, FailurePattern, RunConfig, deliver,
                              deviation_experiment, deviation_study, run,
                              sample_blind_pattern, sample_values)
@@ -67,6 +70,10 @@ def test_run_restores_the_collector_state(enabled):
         run(RunConfig(n=5, t=1, seed=0, deviation=probe))
         assert probe.seen == [False] * 5     # paused for the whole run
         assert gc.isenabled() is enabled
+        deviation_study(RunConfig(n=5, t=1, seed=0),
+                        [lambda: make_deviation(6), lambda: probe], 1)
+        assert probe.seen == [False] * 10
+        assert gc.isenabled() is enabled
         with pytest.raises(ValueError):      # Execution rejects the config
             run(RunConfig(n=4, t=2, seed=0))
         assert gc.isenabled() is enabled
@@ -93,6 +100,10 @@ def test_runs_leave_no_cyclic_garbage():
                                         deviation=deviant(type_id)))
                     assert res.deviation_applied or type_id is None, type_id
                     detected += "bot" in res.decisions.values()
+            # a study's forks make none either
+            deviation_study(RunConfig(n=n, t=t, seed=0),
+                            [lambda tid=tid: deviant(tid)
+                             for tid in TYPES[1:]], 2)
         assert detected > 0
         assert gc.collect() == 0
     finally:
@@ -149,11 +160,11 @@ def test_config_validation():
     for case in (0, 9):
         with pytest.raises(ValueError, match="sub-case"):
             make_deviation(6, case=case).bind(n=5, t=1, domain_size=3)
-    for runs in (0, -2):
-        with pytest.raises(ValueError):
+    for runs in (0, -2, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="runs"):
             deviation_experiment(RunConfig(n=5, t=1, seed=0),
                                  lambda: make_deviation(10), runs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="runs"):
             deviation_study(RunConfig(n=5, t=1, seed=0),
                             [lambda: make_deviation(10)], runs)
 
@@ -353,3 +364,105 @@ def test_blocks_is_monotone(r, onset):
     pat = FailurePattern(recv_om={(2, 1): onset})
     if pat.blocks(r, 1, 2):
         assert pat.blocks(r + 1, 1, 2)
+
+
+def test_a_hook_set_on_an_instance_runs_fresh():
+    # the honest base never acts, so a study forks it before the last
+    # round, and type 9 forks at t+4; a hook set on either instance is
+    # not its class's, so the study runs it fresh and the hook sees every
+    # round
+    seen = {}
+
+    def maker(dev):
+        def make():
+            dev.filter_inbox = (lambda st, r, inbox:
+                                seen.setdefault(dev.type_id, []).append(r)
+                                or inbox)
+            return dev
+        return make
+    base, wrong = Deviation(agent=1), make_deviation(9, agent=1, seed=0)
+    assert (base.acts_from(1), wrong.acts_from(1)) == (float("inf"), 5)
+    deviation_study(RunConfig(n=5, t=1, seed=0), [maker(base), maker(wrong)],
+                    1)
+    assert seen == {base.type_id: [1, 2, 3, 4, 5],
+                    wrong.type_id: [1, 2, 3, 4, 5]}
+
+
+def _state(st):
+    """A copy of every field of an agent, its rng by state and its error
+    by text."""
+    return copy.deepcopy({**vars(st), "rng": st.rng.getstate(),
+                          "last_error": repr(st.last_error)})
+
+
+def _fields(res):
+    return [(f.name, getattr(res, f.name)) for f in dataclasses.fields(res)
+            if f.name != "config"]
+
+
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_forked_runs_equal_fresh_runs(n, t, seed, monkeypatch):
+    # acts_from(t) is sound for every grid entry, honest play included: up
+    # to it, a deviant run's agents are its honest twin's at every pause
+    # and the deviation has not applied; a study's fork from the twin ends
+    # as the fresh run does, in its result and every agent; and the twin
+    # ends as a fresh honest run
+    honest_cfg = RunConfig(n=n, t=t, seed=seed, sample_pattern=True,
+                           check_invariants=False)
+    entries = deviation_grid(t)
+
+    def make(k):
+        tid, params = entries[k]
+        return deviant(tid, seed=seed, **params) or Deviation(agent=1)
+
+    def fresh(dev):
+        ex = Execution(dataclasses.replace(honest_cfg, deviation=dev))
+        for _ in ex.steps():
+            pass
+        return ex
+
+    honest = Execution(honest_cfg)
+    paused = [[_state(st) for st in honest.agents.values()]
+              for _ in honest.steps()]
+    for k in range(len(entries)):
+        dev = make(k)
+        ex = Execution(dataclasses.replace(honest_cfg, deviation=dev))
+        for r in ex.steps():
+            if r >= dev.acts_from(t):
+                break
+            assert [_state(st) for st in ex.agents.values()] == paused[r - 1]
+            assert not dev.applied, (entries[k], r)
+
+    devs = [make(k) for k in range(len(entries))]
+    twins, forks = [], {}
+    fork = simulator._fork
+
+    def recorded(twin, config):
+        twins.append(twin)
+        k = next(k for k, dev in enumerate(devs) if dev is config.deviation)
+        forks[k] = fork(twin, config)
+        return forks[k]
+    monkeypatch.setattr(simulator, "_fork", recorded)
+    utilities, results = simulator._paired_runs(honest_cfg, devs)
+    monkeypatch.undo()
+    assert sorted(forks) == [k for k, dev in enumerate(devs)
+                             if dev.acts_from(t) > 1]
+    assert all(twin is twins[0] for twin in twins)
+
+    twin, alone = twins[0], fresh(None)
+    assert _fields(twin.result()) == _fields(alone.result())
+    assert utilities == alone.result().utilities
+    assert ([_state(st) for st in twin.agents.values()]
+            == [_state(st) for st in alone.agents.values()])
+    for k, ex in forks.items():
+        dev = make(k)
+        alone = fresh(dev)
+        assert _fields(ex.result()) == _fields(alone.result()), entries[k]
+        assert ([_state(st) for st in ex.agents.values()]
+                == [_state(st) for st in alone.agents.values()]), entries[k]
+        assert (ex.dev.applied, ex.dev.guesses) == (dev.applied,
+                                                    dev.guesses), entries[k]
+    assert [_fields(res) for res in results] == [
+        _fields(run(dataclasses.replace(honest_cfg, deviation=make(k))))
+        for k in range(len(entries))]

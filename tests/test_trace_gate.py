@@ -35,24 +35,30 @@ def test_trace_gate_reaches_every_required_layer():
 
 
 def test_trace_gate_reaches_every_deviation_study_layer():
+    # type 10 acts from round 1, so its deviant run is a fresh run(); a
+    # type that forks from the honest twin calls run() nowhere
     layers = _layers()
     with layers.Tracer() as tracer:
         simulator.deviation_experiment(
             simulator.RunConfig(n=5, t=1, seed=0),
-            lambda: deviations.make_deviation(6, agent=1, seed=0), 1)
+            lambda: deviations.make_deviation(10, agent=1, seed=0), 1)
+    assert tracer.calls["simulator.run"] == 1
     assert tracer.missing("deviation-study") == []
     assert tracer.restored()
 
 
 def test_trace_gate_reaches_every_layer_of_a_shared_study():
-    # one seed, two makers: the honest run is shared, so three runs
+    # one seed, two makers: the honest twin is stepped, not run(); type 6
+    # forks from it at round 3, and type 5, which acts from round 1, runs
+    # fresh: one run() and the agents of two set-ups
     layers = _layers()
     with layers.Tracer() as tracer:
         simulator.deviation_study(
             simulator.RunConfig(n=5, t=1, seed=0),
             [lambda: deviations.make_deviation(6, agent=1, seed=0),
              lambda: deviations.make_deviation(5, agent=1, seed=0)], 1)
-    assert tracer.calls["simulator.run"] == 3
+    assert tracer.calls["simulator.run"] == 1
+    assert tracer.calls["agent.init_agent"] == 2 * 5
     assert [name for name in tracer.missing("deviation-study")
             if name != "simulator.deviation_experiment"] == []
     assert tracer.restored()
